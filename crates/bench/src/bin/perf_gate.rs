@@ -3,15 +3,21 @@
 //! Runs a fixed operation mix (uploads/downloads across sizes, a group
 //! membership update, a revocation) through the full enclave stack,
 //! emits `BENCH_perf.json` (per-workload stats, per-op latency
-//! quantiles, and the phase profiler's per-phase self-times — all
-//! GCM-throughput-normalized like the figure regenerators), and
-//! compares the normalized per-workload means against the committed
+//! quantiles, and the phase profiler's per-phase self-times), and
+//! compares the per-workload wall-clock means against the committed
 //! `results/bench_baseline.json`.
 //!
-//! The gate is noise-aware: a workload fails only if its normalized
-//! regression exceeds `max(15 %, 3 × CI95)` of the baseline mean, so
-//! run-to-run jitter (already damped by the GCM normalization) cannot
-//! fail CI while a real slowdown still trips it.
+//! Calibration: each run times the frozen host reference kernel
+//! ([`seg_bench::refkernel`]), which depends on no workspace crate, and
+//! scales its means by `baseline ref_kernel_ms / current ref_kernel_ms`
+//! before comparing. Host drift cancels; a change to the code under
+//! test does not. The GCM-normalized column (`norm_mean_s`) is kept in
+//! the report only as the projection onto the paper's hardware.
+//!
+//! The gate is noise-aware: a workload fails only if its calibrated
+//! regression exceeds `max(15 %, 3 × CI95, 50 µs)` of the baseline mean,
+//! so run-to-run jitter cannot fail CI while a real slowdown still
+//! trips it.
 //!
 //! Usage: `perf_gate [--quick] [--update-baseline]`
 //!   --quick            fewer runs per workload (CI setting)
@@ -26,6 +32,7 @@ use seg_bench::harness::{
     arg_flag, fmt_s, local_gcm_mbps, measure, normalize_processing, Measured, Rig, HW_GCM_MBPS,
 };
 use seg_bench::json::{self, Json};
+use seg_bench::refkernel::ref_kernel_ms;
 use seg_fs::Perm;
 use segshare::EnclaveConfig;
 
@@ -34,18 +41,18 @@ const MIN_THRESHOLD: f64 = 0.15;
 /// Noise guard: regressions under `CI_MULTIPLIER × CI95 / baseline`
 /// don't fail either.
 const CI_MULTIPLIER: f64 = 3.0;
-/// Absolute slack in normalized seconds. Sub-millisecond admin ops
-/// (membership update, revocation) drift 20 %+ between processes from
+/// Absolute slack in calibrated seconds. Sub-millisecond admin ops
+/// (membership update, revocation) drift between processes from
 /// scheduler/frequency noise that within-run CI95 cannot see; 50 µs of
-/// normalized slack absorbs that without weakening the gate where it
-/// matters (50 µs is ~3 % of a 1 MB upload).
+/// slack absorbs part of that without weakening the gate where it
+/// matters.
 const ABS_SLACK_S: f64 = 50e-6;
 
 struct WorkloadResult {
     name: &'static str,
     measured: Measured,
+    /// Projection onto the paper's AES-NI hardware (report only).
     norm_mean_s: f64,
-    norm_ci95_s: f64,
 }
 
 /// Declassified evidence from one metadata-hot run: how much work the
@@ -1253,10 +1260,15 @@ fn main() {
     let update_baseline = arg_flag("--update-baseline");
     let runs = if quick { 3 } else { 10 };
 
+    let ref_ms = ref_kernel_ms();
     let local_mbps = local_gcm_mbps();
     println!("== perf gate ==");
+    println!("host reference kernel: {ref_ms:.2} ms (the gate's calibration)");
     println!(
-        "local software GCM: {local_mbps:.0} MB/s (normalizing to {HW_GCM_MBPS:.0} MB/s hardware)"
+        "local GCM ({}): {local_mbps:.0} MB/s (paper projection scales to {HW_GCM_MBPS:.0} MB/s)",
+        seg_crypto::gcm::Gcm::new(&[0u8; 16])
+            .expect("valid key")
+            .backend_name()
     );
 
     let rig = Rig::new(EnclaveConfig::paper_prototype());
@@ -1277,9 +1289,8 @@ fn main() {
     let mut results: Vec<WorkloadResult> = Vec::new();
     let mut push = |name: &'static str, measured: Measured| {
         let norm_mean_s = normalize_processing(measured.mean_s, local_mbps);
-        let norm_ci95_s = normalize_processing(measured.ci95_s(), local_mbps);
         println!(
-            "  {name:<18} mean={:<10} ci95={:<10} warmup={:<10} norm={}",
+            "  {name:<18} mean={:<10} ci95={:<10} warmup={:<10} paper-proj={}",
             fmt_s(measured.mean_s),
             fmt_s(measured.ci95_s()),
             fmt_s(measured.warmup_s),
@@ -1289,7 +1300,6 @@ fn main() {
             name,
             measured,
             norm_mean_s,
-            norm_ci95_s,
         });
     };
 
@@ -1457,6 +1467,7 @@ fn main() {
     let root = repo_root();
     let report = build_report(
         &results,
+        ref_ms,
         local_mbps,
         &snapshot,
         &profile,
@@ -1507,12 +1518,12 @@ fn main() {
 
     let baseline_path = root.join("results/bench_baseline.json");
     if update_baseline {
-        std::fs::write(&baseline_path, build_baseline(&results, local_mbps))
+        std::fs::write(&baseline_path, build_baseline(&results, ref_ms, local_mbps))
             .expect("write baseline");
         println!("wrote {} (baseline refreshed)", baseline_path.display());
     } else if let Ok(baseline_text) = std::fs::read_to_string(&baseline_path) {
         let baseline = json::parse(&baseline_text).expect("baseline parses");
-        failures.extend(check_gate(&results, &baseline));
+        failures.extend(check_gate(&results, &baseline, ref_ms));
     } else {
         println!(
             "no baseline at {} — run with --update-baseline to create one (regression gate passes vacuously)",
@@ -1575,13 +1586,27 @@ fn print_cache_evidence(evidence: &[CacheEvidence]) {
     );
 }
 
-/// Compares each workload's normalized mean against the baseline.
-/// Returns human-readable failure lines (empty = pass).
-fn check_gate(results: &[WorkloadResult], baseline: &Json) -> Vec<String> {
+/// Compares each workload's calibrated wall-clock mean against the
+/// baseline. Returns human-readable failure lines (empty = pass).
+fn check_gate(results: &[WorkloadResult], baseline: &Json, ref_ms: f64) -> Vec<String> {
     let mut failures = Vec::new();
     let Some(ops) = baseline.get("ops").and_then(Json::as_obj) else {
         return vec!["baseline has no \"ops\" object".to_string()];
     };
+    let Some(base_ref_ms) = baseline.get("ref_kernel_ms").and_then(Json::as_f64) else {
+        return vec![
+            "baseline has no \"ref_kernel_ms\" (written before the reference-kernel \
+             calibration): re-run with --update-baseline"
+                .to_string(),
+        ];
+    };
+    // Host drift since the baseline: >1 when this host runs the frozen
+    // kernel faster than the baseline's did.
+    let host_scale = base_ref_ms / ref_ms;
+    println!(
+        "  calibration: reference kernel {ref_ms:.2} ms now vs {base_ref_ms:.2} ms at baseline \
+         (means scaled by {host_scale:.3})"
+    );
     for r in results {
         let Some(base) = ops.get(r.name) else {
             println!(
@@ -1590,19 +1615,17 @@ fn check_gate(results: &[WorkloadResult], baseline: &Json) -> Vec<String> {
             );
             continue;
         };
-        let base_mean = base
-            .get("norm_mean_s")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
+        let base_mean = base.get("mean_s").and_then(Json::as_f64).unwrap_or(0.0);
         let base_ci = base.get("ci95_s").and_then(Json::as_f64).unwrap_or(0.0);
         if base_mean <= 0.0 {
             continue;
         }
-        let regression = (r.norm_mean_s - base_mean) / base_mean;
+        let now_mean = r.measured.mean_s * host_scale;
+        let regression = (now_mean - base_mean) / base_mean;
         // Noise-aware threshold: whichever is largest of the fixed 15 %
         // floor, 3× the wider of the two runs' confidence intervals,
         // and the absolute slack — all relative to the baseline mean.
-        let ci = r.norm_ci95_s.max(base_ci);
+        let ci = (r.measured.ci95_s() * host_scale).max(base_ci);
         let threshold = MIN_THRESHOLD
             .max(CI_MULTIPLIER * ci / base_mean)
             .max(ABS_SLACK_S / base_mean);
@@ -1611,16 +1634,16 @@ fn check_gate(results: &[WorkloadResult], baseline: &Json) -> Vec<String> {
             "  {:<18} base={:<10} now={:<10} change={:+6.1}% threshold={:5.1}% {}",
             r.name,
             fmt_s(base_mean),
-            fmt_s(r.norm_mean_s),
+            fmt_s(now_mean),
             regression * 100.0,
             threshold * 100.0,
             if failed { "FAIL" } else { "ok" },
         );
         if failed {
             failures.push(format!(
-                "{}: normalized mean {} vs baseline {} ({:+.1}% > {:.1}% threshold)",
+                "{}: calibrated mean {} vs baseline {} ({:+.1}% > {:.1}% threshold)",
                 r.name,
-                fmt_s(r.norm_mean_s),
+                fmt_s(now_mean),
                 fmt_s(base_mean),
                 regression * 100.0,
                 threshold * 100.0,
@@ -1630,19 +1653,24 @@ fn check_gate(results: &[WorkloadResult], baseline: &Json) -> Vec<String> {
     failures
 }
 
-/// The committed baseline: per-workload normalized mean + CI95. The
-/// local GCM throughput is recorded for context only — normalization
-/// is what makes the means comparable across machines.
-fn build_baseline(results: &[WorkloadResult], local_mbps: f64) -> String {
+/// The committed baseline: the reference-kernel time it was taken at
+/// plus per-workload wall-clock mean + CI95 (what the gate compares).
+/// The GCM throughput and the paper projection are recorded for
+/// context only.
+fn build_baseline(results: &[WorkloadResult], ref_ms: f64, local_mbps: f64) -> String {
     let mut out = String::from("{\n");
+    let _ = writeln!(out, "  \"ref_kernel_ms\": {ref_ms:.3},");
     let _ = writeln!(out, "  \"gcm_mbps\": {local_mbps:.1},");
     out.push_str("  \"ops\": {\n");
     for (i, r) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "    \"{}\": {{\"norm_mean_s\": {:.9}, \"ci95_s\": {:.9}}}{comma}",
-            r.name, r.norm_mean_s, r.norm_ci95_s,
+            "    \"{}\": {{\"mean_s\": {:.9}, \"ci95_s\": {:.9}, \"norm_mean_s\": {:.9}}}{comma}",
+            r.name,
+            r.measured.mean_s,
+            r.measured.ci95_s(),
+            r.norm_mean_s,
         );
     }
     out.push_str("  }\n}\n");
@@ -1655,6 +1683,7 @@ fn build_baseline(results: &[WorkloadResult], local_mbps: f64) -> String {
 #[allow(clippy::too_many_arguments)]
 fn build_report(
     results: &[WorkloadResult],
+    ref_ms: f64,
     local_mbps: f64,
     snapshot: &seg_obs::Snapshot,
     profile: &seg_obs::ProfSnapshot,
@@ -1669,6 +1698,7 @@ fn build_report(
     meter_attr: &MeterAttributionEvidence,
 ) -> String {
     let mut out = String::from("{\n");
+    let _ = writeln!(out, "  \"ref_kernel_ms\": {ref_ms:.3},");
     let _ = writeln!(out, "  \"gcm_mbps\": {local_mbps:.1},");
 
     out.push_str("  \"workloads\": {\n");

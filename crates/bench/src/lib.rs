@@ -2,3 +2,4 @@
 //! targets and `benches/`).
 pub mod harness;
 pub mod json;
+pub mod refkernel;

@@ -143,39 +143,77 @@ pub struct AuditEvent {
     pub code: &'static str,
 }
 
+/// Record payload formats. `AUD2` is written: LEB128 clock and request
+/// id, one-byte label lengths and decision. The trail stores one record
+/// per request, so this payload is its per-request footprint. `AUD1`
+/// (fixed-width fields, `u32` lengths) is still read, for trails
+/// written before `AUD2`.
 fn encode_record(ev: &AuditEvent) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.tag(b"AUD1");
-    e.u64(ev.time);
-    e.u64(ev.request_id);
-    e.str(ev.op);
-    e.u64(ev.principal);
-    e.u64(ev.object);
-    e.u32(match ev.decision {
+    let mut out = Vec::with_capacity(48);
+    out.extend_from_slice(b"AUD2");
+    put_varint(&mut out, ev.time);
+    put_varint(&mut out, ev.request_id);
+    put_label(&mut out, ev.op);
+    out.extend_from_slice(&ev.principal.to_le_bytes());
+    out.extend_from_slice(&ev.object.to_le_bytes());
+    out.push(match ev.decision {
         TraceDecision::Allow => 0,
         TraceDecision::Deny => 1,
         TraceDecision::Error => 2,
         TraceDecision::Event => 3,
     });
-    e.str(ev.code);
-    e.finish()
+    put_label(&mut out, ev.code);
+    out
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v as u8) | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn put_label(out: &mut Vec<u8>, label: &str) {
+    out.push(u8::try_from(label.len()).expect("labels are compiled-in short names"));
+    out.extend_from_slice(label.as_bytes());
+}
+
+fn get_varint(d: &mut Decoder<'_>) -> Result<u64, SegShareError> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let byte = d.u8()?;
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return Ok(v);
+        }
+    }
+    Err(tamper("audit record varint overflows"))
+}
+
+fn get_label(d: &mut Decoder<'_>) -> Result<String, SegShareError> {
+    let len = usize::from(d.u8()?);
+    String::from_utf8(d.raw(len)?.to_vec()).map_err(|_| tamper("audit label is not UTF-8"))
 }
 
 fn decode_record(seq: u64, data: &[u8]) -> Result<AuditRecord, SegShareError> {
     let mut d = Decoder::new(data);
-    d.tag(b"AUD1")?;
-    let time = d.u64()?;
-    let request_id = d.u64()?;
-    let op = d.str()?.to_string();
+    let v2 = data.starts_with(b"AUD2");
+    d.tag(if v2 { b"AUD2" } else { b"AUD1" })?;
+    let (time, request_id, op) = if v2 {
+        (get_varint(&mut d)?, get_varint(&mut d)?, get_label(&mut d)?)
+    } else {
+        (d.u64()?, d.u64()?, d.str()?)
+    };
     let principal = d.u64()?;
     let object = d.u64()?;
-    let decision = match d.u32()? {
+    let decision = match if v2 { u32::from(d.u8()?) } else { d.u32()? } {
         0 => TraceDecision::Allow,
         1 => TraceDecision::Deny,
         2 => TraceDecision::Error,
         _ => TraceDecision::Event,
     };
-    let code = d.str()?.to_string();
+    let code = if v2 { get_label(&mut d)? } else { d.str()? };
     d.finish()?;
     Ok(AuditRecord {
         seq,
@@ -1051,6 +1089,24 @@ mod tests {
             matches!(&err, SegShareError::Integrity(m) if m.contains("forged")),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn aud1_records_still_decode() {
+        let ev = event(1);
+        let mut e = Encoder::new();
+        e.tag(b"AUD1");
+        e.u64(ev.time);
+        e.u64(ev.request_id);
+        e.str(ev.op);
+        e.u64(ev.principal);
+        e.u64(ev.object);
+        e.u32(0);
+        e.str(ev.code);
+        let old = decode_record(7, &e.finish()).unwrap();
+        let new = decode_record(7, &encode_record(&ev)).unwrap();
+        assert_eq!(old, new);
+        assert!(encode_record(&ev).len() < 48, "AUD2 stays compact");
     }
 
     #[test]

@@ -166,6 +166,7 @@ impl FileManager {
             )
         };
         let mut writer = PfsWriter::new(&key, &mut SystemRng::new())?;
+        writer.reserve(size.saturating_add(u64::from(!dedup)));
         if !dedup {
             writer.write(&[MARKER_INLINE]);
         }
@@ -246,6 +247,7 @@ impl FileManager {
                         &self.store.keys().dedup_blob_key(&hname),
                         &mut SystemRng::new(),
                     )?;
+                    final_writer.reserve(staged.data_len());
                     for i in 0..staged.node_count() {
                         final_writer.write(&staged.read_node(i)?);
                     }

@@ -1,10 +1,13 @@
-//! AES-128/192/256 block cipher (FIPS 197).
+//! AES-128/192/256 block cipher (FIPS 197), portable.
 //!
-//! Encryption uses the classic 32-bit T-table formulation for throughput
-//! (file contents stream through AES-GCM in the trusted file manager);
-//! decryption uses a straightforward byte-wise inverse cipher since GCM
-//! only ever needs the forward direction. The S-box and tables are derived
+//! Encryption uses the classic 32-bit T-table formulation; decryption
+//! uses a straightforward byte-wise inverse cipher since GCM only ever
+//! needs the forward direction. The S-box and tables are derived
 //! programmatically and pinned by FIPS 197 known-answer tests.
+//!
+//! Bulk encryption does not run here on x86_64 hosts with AES-NI: there
+//! [`crate::gcm`] runs the rounds in hardware and takes only the key
+//! schedule from this type. Elsewhere this is the GCM block cipher.
 
 use std::sync::OnceLock;
 
@@ -177,6 +180,20 @@ impl Aes {
             round_keys: w,
             rounds,
         })
+    }
+
+    /// Number of rounds (10, 12 or 14).
+    pub(crate) fn rounds(&self) -> usize {
+        self.rounds
+    }
+
+    /// Round key `round` as the 16 bytes XORed into the state.
+    pub(crate) fn round_key_bytes(&self, round: usize) -> [u8; BLOCK_LEN] {
+        let mut out = [0u8; BLOCK_LEN];
+        for (j, slot) in out.chunks_exact_mut(4).enumerate() {
+            slot.copy_from_slice(&self.round_keys[4 * round + j].to_be_bytes());
+        }
+        out
     }
 
     /// Encrypts one 16-byte block.

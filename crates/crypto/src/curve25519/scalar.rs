@@ -145,63 +145,136 @@ impl Scalar {
     }
 }
 
-/// Reduces a 512-bit little-endian value modulo ℓ via binary long
-/// division. Variable-time, which is fine at handshake rate.
-fn reduce_wide(mut x: [u64; 8]) -> [u64; 4] {
-    // For shift = 259 down to 0, subtract (ℓ << shift) when possible.
-    // 2^252 <= ℓ < 2^253 and x < 2^512, so shifts above 512 - 252 = 260
-    // can never fit.
-    for shift in (0..=259).rev() {
-        let shifted = shl_512(&L, shift);
-        if geq8(&x, &shifted) {
-            sub8_in_place(&mut x, &shifted);
-        }
-    }
-    debug_assert!(x[4..].iter().all(|&w| w == 0));
-    [x[0], x[1], x[2], x[3]]
-}
+/// ⌊2^512 / ℓ⌋ as five little-endian limbs: the Barrett constant.
+const MU: [u64; 5] = [
+    0xed9c_e5a3_0a2c_131b,
+    0x2106_215d_0863_29a7,
+    0xffff_ffff_ffff_ffeb,
+    0xffff_ffff_ffff_ffff,
+    0x0000_0000_0000_000f,
+];
 
-/// `value << shift` as a 512-bit number (drops bits above 2^512, which
-/// cannot occur for ℓ << 259).
-fn shl_512(value: &[u64; 4], shift: usize) -> [u64; 8] {
-    let mut out = [0u64; 8];
-    let limb_shift = shift / 64;
-    let bit_shift = shift % 64;
-    for (i, &limb) in value.iter().enumerate() {
-        let target = i + limb_shift;
-        if target < 8 {
-            out[target] |= limb << bit_shift;
+/// Schoolbook product of little-endian limb strings (`a.len() +
+/// b.len() <= 10`).
+fn mul_limbs(a: &[u64], b: &[u64]) -> [u64; 10] {
+    let mut out = [0u64; 10];
+    for (i, &ai) in a.iter().enumerate() {
+        let mut carry = 0u128;
+        for (j, &bj) in b.iter().enumerate() {
+            let v = out[i + j] as u128 + (ai as u128) * (bj as u128) + carry;
+            out[i + j] = v as u64;
+            carry = v >> 64;
         }
-        if bit_shift != 0 && target + 1 < 8 {
-            out[target + 1] |= limb >> (64 - bit_shift);
-        }
+        out[i + b.len()] = carry as u64;
     }
     out
 }
 
-fn geq8(a: &[u64; 8], b: &[u64; 8]) -> bool {
-    for i in (0..8).rev() {
-        if a[i] != b[i] {
-            return a[i] > b[i];
+/// Reduces a 512-bit little-endian value modulo ℓ by Barrett reduction
+/// (Handbook of Applied Cryptography, Algorithm 14.42, with base 2^64
+/// and k = 4 limbs): `q` underestimates `⌊x / ℓ⌋` by at most 2, so
+/// `x − q·ℓ` needs at most two final subtractions.
+fn reduce_wide(x: [u64; 8]) -> [u64; 4] {
+    let q2 = mul_limbs(&x[3..], &MU);
+    let q3 = &q2[5..];
+    let ql = mul_limbs(q3, &L);
+    // r = (x − q3·ℓ) mod 2^320; the true difference is below 3ℓ.
+    let mut r = [0u64; 5];
+    let mut borrow = 0u64;
+    for i in 0..5 {
+        let (d1, b1) = x[i].overflowing_sub(ql[i]);
+        let (d2, b2) = d1.overflowing_sub(borrow);
+        r[i] = d2;
+        borrow = u64::from(b1 || b2);
+    }
+    let l5 = [L[0], L[1], L[2], L[3], 0];
+    while r[4] != 0 || geq(&[r[0], r[1], r[2], r[3]], &L) {
+        let mut borrow = 0u64;
+        for i in 0..5 {
+            let (d1, b1) = r[i].overflowing_sub(l5[i]);
+            let (d2, b2) = d1.overflowing_sub(borrow);
+            r[i] = d2;
+            borrow = u64::from(b1 || b2);
         }
     }
-    true
-}
-
-fn sub8_in_place(a: &mut [u64; 8], b: &[u64; 8]) {
-    let mut borrow = 0u64;
-    for i in 0..8 {
-        let (d1, b1) = a[i].overflowing_sub(b[i]);
-        let (d2, b2) = d1.overflowing_sub(borrow);
-        a[i] = d2;
-        borrow = (b1 || b2) as u64;
-    }
-    debug_assert_eq!(borrow, 0, "sub8_in_place underflow");
+    [r[0], r[1], r[2], r[3]]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference: binary long division, one bit of quotient per step.
+    fn reduce_wide_slow(mut x: [u64; 8]) -> [u64; 4] {
+        // For shift = 259 down to 0, subtract (ℓ << shift) when possible.
+        // 2^252 <= ℓ < 2^253 and x < 2^512, so shifts above 512 - 252 = 260
+        // can never fit.
+        for shift in (0..=259).rev() {
+            let shifted = shl_512(&L, shift);
+            if geq8(&x, &shifted) {
+                sub8_in_place(&mut x, &shifted);
+            }
+        }
+        debug_assert!(x[4..].iter().all(|&w| w == 0));
+        [x[0], x[1], x[2], x[3]]
+    }
+
+    /// `value << shift` as a 512-bit number (drops bits above 2^512, which
+    /// cannot occur for ℓ << 259).
+    fn shl_512(value: &[u64; 4], shift: usize) -> [u64; 8] {
+        let mut out = [0u64; 8];
+        let limb_shift = shift / 64;
+        let bit_shift = shift % 64;
+        for (i, &limb) in value.iter().enumerate() {
+            let target = i + limb_shift;
+            if target < 8 {
+                out[target] |= limb << bit_shift;
+            }
+            if bit_shift != 0 && target + 1 < 8 {
+                out[target + 1] |= limb >> (64 - bit_shift);
+            }
+        }
+        out
+    }
+
+    fn geq8(a: &[u64; 8], b: &[u64; 8]) -> bool {
+        for i in (0..8).rev() {
+            if a[i] != b[i] {
+                return a[i] > b[i];
+            }
+        }
+        true
+    }
+
+    fn sub8_in_place(a: &mut [u64; 8], b: &[u64; 8]) {
+        let mut borrow = 0u64;
+        for i in 0..8 {
+            let (d1, b1) = a[i].overflowing_sub(b[i]);
+            let (d2, b2) = d1.overflowing_sub(borrow);
+            a[i] = d2;
+            borrow = (b1 || b2) as u64;
+        }
+        debug_assert_eq!(borrow, 0, "sub8_in_place underflow");
+    }
+
+    #[test]
+    fn barrett_matches_long_division() {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(252);
+        let mut inputs: Vec<[u64; 8]> = (0..500)
+            .map(|_| std::array::from_fn(|_| rng.random::<u64>()))
+            .collect();
+        inputs.push([u64::MAX; 8]);
+        inputs.push([0; 8]);
+        inputs.push([L[0], L[1], L[2], L[3], 0, 0, 0, 0]);
+        let mut l_minus_1 = [L[0] - 1, L[1], L[2], L[3], 0, 0, 0, 0];
+        inputs.push(l_minus_1);
+        l_minus_1[4] = 1;
+        inputs.push(l_minus_1);
+        for x in inputs {
+            assert_eq!(reduce_wide(x), reduce_wide_slow(x), "x = {x:x?}");
+        }
+    }
 
     #[test]
     fn ell_minus_one_plus_one_is_zero() {

@@ -19,7 +19,9 @@
 //! * [`hkdf`] — RFC 5869 extract-and-expand KDF, used for the TLS key
 //!   schedule and per-file key derivation.
 //! * [`aes`] — FIPS 197 AES-128/192/256 block cipher.
-//! * [`gcm`] — NIST SP 800-38D Galois/Counter mode.
+//! * [`gcm`] — NIST SP 800-38D Galois/Counter mode: AES-NI + PCLMULQDQ
+//!   on x86_64 hosts that have them, a portable table-driven fallback
+//!   elsewhere (chosen once per key, identical output).
 //! * [`pae`] — the paper's PAE abstraction (random-IV AES-128-GCM).
 //! * [`mset`] — MSet-XOR-Hash incremental multiset hash (Clarke et al.,
 //!   ASIACRYPT 2003), as named in §VI of the paper.
@@ -47,11 +49,17 @@
 //! # Security note
 //!
 //! These implementations favour clarity and auditability over side-channel
-//! hardening (table-based AES, variable-time curve arithmetic). That matches
-//! the paper's threat model, which explicitly declares side channels out of
-//! scope (§III-B).
+//! hardening (table-based AES on the portable path, variable-time curve
+//! arithmetic). That matches the paper's threat model, which explicitly
+//! declares side channels out of scope (§III-B).
+//!
+//! Only the hardware GCM backend steps outside safe Rust (for CPU
+//! intrinsics); it lives in one private module behind run-time CPU
+//! feature detection, and CI rejects such code anywhere else.
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod aes;
 pub mod ct;

@@ -76,6 +76,29 @@ proptest! {
     }
 
     #[test]
+    fn gcm_matches_the_portable_oracle(
+        key in proptest::array::uniform32(any::<u8>()),
+        key_size in 0usize..3,
+        iv in proptest::array::uniform12(any::<u8>()),
+        aad in proptest::collection::vec(any::<u8>(), 0..80),
+        pt in proptest::collection::vec(any::<u8>(), 0..1100),
+    ) {
+        // Whichever backend `new` picks on this CPU must agree byte for
+        // byte with the portable one, and each must open the other's
+        // output.
+        let key = &key[..16 + 8 * key_size];
+        let gcm = Gcm::new(key).expect("valid key");
+        let oracle = Gcm::new_portable(key).expect("valid key");
+        let sealed = gcm.seal(&iv, &aad, &pt);
+        prop_assert_eq!(&sealed, &oracle.seal(&iv, &aad, &pt));
+        prop_assert_eq!(oracle.open(&iv, &aad, &sealed).expect("authentic"), pt.clone());
+        let mut data = pt.clone();
+        let tag = oracle.seal_in_place(&iv, &aad, &mut data);
+        gcm.open_in_place(&iv, &aad, &mut data, &tag).expect("authentic");
+        prop_assert_eq!(data, pt);
+    }
+
+    #[test]
     fn gcm_detects_any_single_bit_flip(
         key in proptest::array::uniform16(any::<u8>()),
         pt in proptest::collection::vec(any::<u8>(), 1..128),

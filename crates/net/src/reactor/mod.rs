@@ -486,17 +486,38 @@ impl Inner {
             return false;
         }
         if conn.closing.load(Ordering::Acquire) {
-            return true;
+            // An abort finalizes at once. A drain-close blocked on a full
+            // peer waits, like `wants_drain`, for the flush path (the
+            // loop's write or the peer's drain hook) to reschedule it.
+            return *conn.close_mode.lock().unwrap() == CloseMode::Abort
+                || conn.out.lock().unwrap().frames.is_empty()
+                || self.peer_has_room_for_pending(conn);
         }
         let inbound_ready = match &conn.inbound {
             Inbound::Fd { inbox } => !inbox.lock().unwrap().is_empty(),
             Inbound::Virtual { q } => !q.is_empty() || q.is_closed(),
         };
-        if inbound_ready {
+        if inbound_ready || self.peer_has_room_for_pending(conn) {
             return true;
         }
         conn.wants_drain.load(Ordering::Acquire)
             && conn.out.lock().unwrap().bytes < self.cfg.outbound_bytes / 2
+    }
+
+    /// Whether `conn` holds outbound frames that its virtual peer has
+    /// room for again. The peer's drain hook fires only on a pop from a
+    /// full queue; if that pop lands while the conn is still scheduled,
+    /// the hook's `schedule` is a no-op, so the worker must re-check
+    /// here or the conn stalls with frames queued and a reader waiting.
+    /// Socket sinks are advanced only by the event loop, which
+    /// reschedules on drain.
+    fn peer_has_room_for_pending(&self, conn: &Conn) -> bool {
+        match &conn.sink {
+            Sink::Fd => false,
+            Sink::Virtual { peer } => {
+                !conn.out.lock().unwrap().frames.is_empty() && peer.has_room()
+            }
+        }
     }
 
     /// Requests a close; the worker path finalizes it (so `on_close`
@@ -772,16 +793,18 @@ fn try_finalize(inner: &Arc<Inner>, conn: &Arc<Conn>) {
             inner.charge_dropped(frame.len());
         }
     }
+    // Account the close before the peer can observe it, so a peer that
+    // sees `Closed` also sees the gauges without this connection.
+    conn.set_state(&inner.stats, ConnState::Closed);
+    inner.stats.closed.fetch_add(1, Ordering::Relaxed);
+    inner.conns.lock().unwrap().remove(&conn.id);
+    inner.conn_count.fetch_sub(1, Ordering::Relaxed);
     if let Inbound::Virtual { q } = &conn.inbound {
         q.close();
     }
     if let Sink::Virtual { peer } = &conn.sink {
         peer.close();
     }
-    conn.set_state(&inner.stats, ConnState::Closed);
-    inner.stats.closed.fetch_add(1, Ordering::Relaxed);
-    inner.conns.lock().unwrap().remove(&conn.id);
-    inner.conn_count.fetch_sub(1, Ordering::Relaxed);
     inner.handler.on_close(conn.id);
     if matches!(conn.sink, Sink::Fd) {
         inner.inject(Note::Destroy(conn.id));

@@ -196,6 +196,13 @@ impl VirtQueue {
         self.state.lock().unwrap().closed
     }
 
+    /// Whether a push would not report `Full` (true once closed).
+    #[must_use]
+    pub(crate) fn has_room(&self) -> bool {
+        let st = self.state.lock().unwrap();
+        st.closed || st.frames.len() < self.cap
+    }
+
     /// Frames currently buffered.
     #[must_use]
     pub fn len(&self) -> usize {

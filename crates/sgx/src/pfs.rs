@@ -62,37 +62,51 @@ fn node_aad(level: u8, index: u64) -> [u8; 9] {
     aad
 }
 
-/// Encrypts `plaintext` into a padded 4 KiB node.
+/// Seals node (`level`, `index`) in place. `node` is one zeroed
+/// [`NODE_LEN`] slot of the blob holding `len` plaintext bytes at
+/// `IV_LEN..`; the IV goes in front, the tag right after the
+/// ciphertext, and the padding stays zero.
 fn seal_node(
     gcm: &Gcm,
     nonce: &[u8; IV_LEN],
     level: u8,
     index: u64,
-    plaintext: &[u8],
-) -> ([u8; TAG_LEN], Vec<u8>) {
-    debug_assert!(plaintext.len() <= DATA_PER_NODE);
+    node: &mut [u8],
+    len: usize,
+) -> [u8; TAG_LEN] {
+    debug_assert!(node.len() == NODE_LEN && len <= DATA_PER_NODE);
     let iv = node_iv(nonce, level, index);
-    let sealed = gcm.seal(&iv, &node_aad(level, index), plaintext);
-    let (ct, tag) = sealed.split_at(plaintext.len());
-    let mut node = Vec::with_capacity(NODE_LEN);
-    node.extend_from_slice(&iv);
-    node.extend_from_slice(ct);
-    node.extend_from_slice(tag);
-    node.resize(NODE_LEN, 0);
-    let mut tag_arr = [0u8; TAG_LEN];
-    tag_arr.copy_from_slice(tag);
-    (tag_arr, node)
+    node[..IV_LEN].copy_from_slice(&iv);
+    let (body, rest) = node[IV_LEN..].split_at_mut(len);
+    let tag = gcm.seal_in_place(&iv, &node_aad(level, index), body);
+    rest[..TAG_LEN].copy_from_slice(&tag);
+    tag
 }
 
-/// Decrypts a node, checking its tag against `expected_tag`.
-fn open_node(
+/// Whether every byte is zero. An OR-fold without early exit, which
+/// vectorizes (node padding is up to 4 KiB).
+fn is_zero(bytes: &[u8]) -> bool {
+    bytes.iter().fold(0u8, |acc, &b| acc | b) == 0
+}
+
+/// Appends a fresh zeroed node slot to `out` and returns it.
+fn push_slot(out: &mut Vec<u8>) -> &mut [u8] {
+    let start = out.len();
+    out.resize(start + NODE_LEN, 0);
+    &mut out[start..]
+}
+
+/// Decrypts a node, checking its tag against `expected_tag`, and
+/// appends its `plaintext_len` bytes to `out`.
+fn open_node_into(
     gcm: &Gcm,
     node: &[u8],
     level: u8,
     index: u64,
     plaintext_len: usize,
     expected_tag: &[u8; TAG_LEN],
-) -> Result<Vec<u8>, SgxError> {
+    out: &mut Vec<u8>,
+) -> Result<(), SgxError> {
     if node.len() != NODE_LEN || plaintext_len > DATA_PER_NODE {
         return Err(SgxError::ProtectedFileCorrupted(format!(
             "bad node length at level {level} index {index}"
@@ -103,10 +117,7 @@ fn open_node(
     let stored_tag = &node[IV_LEN + plaintext_len..IV_LEN + plaintext_len + TAG_LEN];
     // Padding is structurally zero; reject any modification so every
     // stored byte is covered by some check.
-    if node[IV_LEN + plaintext_len + TAG_LEN..]
-        .iter()
-        .any(|&b| b != 0)
-    {
+    if !is_zero(&node[IV_LEN + plaintext_len + TAG_LEN..]) {
         return Err(SgxError::ProtectedFileCorrupted(format!(
             "nonzero padding at level {level} index {index}"
         )));
@@ -116,15 +127,37 @@ fn open_node(
             "tag mismatch at level {level} index {index} (rollback or tamper)"
         )));
     }
-    let mut sealed = Vec::with_capacity(plaintext_len + TAG_LEN);
-    sealed.extend_from_slice(ct);
-    sealed.extend_from_slice(stored_tag);
-    gcm.open(&iv, &node_aad(level, index), &sealed)
+    let start = out.len();
+    out.extend_from_slice(ct);
+    gcm.open_in_place(&iv, &node_aad(level, index), &mut out[start..], stored_tag)
         .map_err(|_| {
+            out.truncate(start);
             SgxError::ProtectedFileCorrupted(format!(
                 "authentication failed at level {level} index {index}"
             ))
         })
+}
+
+/// [`open_node_into`] a new buffer.
+fn open_node(
+    gcm: &Gcm,
+    node: &[u8],
+    level: u8,
+    index: u64,
+    plaintext_len: usize,
+    expected_tag: &[u8; TAG_LEN],
+) -> Result<Vec<u8>, SgxError> {
+    let mut out = Vec::with_capacity(plaintext_len);
+    open_node_into(
+        gcm,
+        node,
+        level,
+        index,
+        plaintext_len,
+        expected_tag,
+        &mut out,
+    )?;
+    Ok(out)
 }
 
 /// Number of data nodes for a given plaintext length.
@@ -163,9 +196,11 @@ pub fn encrypted_size(data_len: u64) -> u64 {
 pub struct PfsWriter {
     gcm: Gcm,
     nonce: [u8; IV_LEN],
-    buffer: Vec<u8>,
+    /// Plaintext bytes staged in the open data node, which is the last
+    /// slot of `out`; 0 means no node is open.
+    filled: usize,
     tags: Vec<[u8; TAG_LEN]>,
-    /// Blob under construction; node 0 (header) is patched in `finish`.
+    /// Blob under construction; node 0 (header) is sealed in `finish`.
     out: Vec<u8>,
     data_len: u64,
 }
@@ -177,6 +212,11 @@ impl std::fmt::Debug for PfsWriter {
             .finish()
     }
 }
+
+/// The most [`PfsWriter::reserve`] pre-allocates: an upload's announced
+/// size comes from the client, so it must not allocate ahead of the
+/// bytes beyond this.
+const MAX_RESERVE: u64 = 16 << 20;
 
 impl PfsWriter {
     /// Starts a protected file under `key` (16, 24, or 32 bytes — the
@@ -190,42 +230,63 @@ impl PfsWriter {
         Ok(PfsWriter {
             gcm: Gcm::new(key)?,
             nonce: rng.array(),
-            buffer: Vec::with_capacity(DATA_PER_NODE),
+            filled: 0,
             tags: Vec::new(),
-            out: vec![0u8; NODE_LEN], // header placeholder
+            out: vec![0u8; NODE_LEN], // header slot
             data_len: 0,
         })
     }
 
-    /// Appends plaintext; full nodes are encrypted and emitted
-    /// immediately (constant data buffering).
+    /// Pre-sizes the blob for a file of `data_len` plaintext bytes in
+    /// all (capped at 16 MiB of blob), so nodes are sealed into place
+    /// without the buffer being regrown and copied.
+    pub fn reserve(&mut self, data_len: u64) {
+        let total = encrypted_size(data_len.min(MAX_RESERVE)).min(MAX_RESERVE);
+        self.out
+            .reserve((total as usize).saturating_sub(self.out.len()));
+    }
+
+    /// Appends plaintext; full nodes are encrypted in place as soon as
+    /// they fill (constant data buffering).
     pub fn write(&mut self, mut data: &[u8]) {
         let _prof = seg_obs::prof::phase("pfs");
         self.data_len += data.len() as u64;
         while !data.is_empty() {
-            let take = (DATA_PER_NODE - self.buffer.len()).min(data.len());
-            self.buffer.extend_from_slice(&data[..take]);
+            if self.filled == 0 {
+                push_slot(&mut self.out);
+            }
+            let take = (DATA_PER_NODE - self.filled).min(data.len());
+            let at = self.out.len() - NODE_LEN + IV_LEN + self.filled;
+            self.out[at..at + take].copy_from_slice(&data[..take]);
+            self.filled += take;
             data = &data[take..];
-            if self.buffer.len() == DATA_PER_NODE {
-                self.flush_node();
+            if self.filled == DATA_PER_NODE {
+                self.seal_open_node();
             }
         }
     }
 
-    fn flush_node(&mut self) {
+    fn seal_open_node(&mut self) {
         let index = self.tags.len() as u64;
-        let (tag, node) = seal_node(&self.gcm, &self.nonce, 0, index, &self.buffer);
+        let slot = self.out.len() - NODE_LEN;
+        let tag = seal_node(
+            &self.gcm,
+            &self.nonce,
+            0,
+            index,
+            &mut self.out[slot..],
+            self.filled,
+        );
         self.tags.push(tag);
-        self.out.extend_from_slice(&node);
-        self.buffer.clear();
+        self.filled = 0;
     }
 
     /// Finishes the file and returns the complete blob.
     #[must_use]
     pub fn finish(mut self) -> Vec<u8> {
         let _prof = seg_obs::prof::phase("pfs");
-        if !self.buffer.is_empty() {
-            self.flush_node();
+        if self.filled > 0 {
+            self.seal_open_node();
         }
         // Build meta levels bottom-up until a single node remains.
         let mut level_tags = std::mem::take(&mut self.tags);
@@ -234,13 +295,19 @@ impl PfsWriter {
         while level_tags.len() > 1 {
             let mut next_tags = Vec::with_capacity(level_tags.len().div_ceil(TAGS_PER_NODE));
             for (idx, group) in level_tags.chunks(TAGS_PER_NODE).enumerate() {
-                let mut pt = Vec::with_capacity(group.len() * TAG_LEN);
-                for tag in group {
-                    pt.extend_from_slice(tag);
+                let node = push_slot(&mut self.out);
+                for (slot, tag) in node[IV_LEN..].chunks_exact_mut(TAG_LEN).zip(group) {
+                    slot.copy_from_slice(tag);
                 }
-                let (tag, node) = seal_node(&self.gcm, &self.nonce, level, idx as u64, &pt);
-                next_tags.push(tag);
-                self.out.extend_from_slice(&node);
+                let len = group.len() * TAG_LEN;
+                next_tags.push(seal_node(
+                    &self.gcm,
+                    &self.nonce,
+                    level,
+                    idx as u64,
+                    node,
+                    len,
+                ));
             }
             level_tags = next_tags;
             level += 1;
@@ -260,8 +327,9 @@ impl PfsWriter {
         // The header uses a fixed distinct level (0xff) at index 0; its IV
         // is still nonce-derived, which is safe because no other node uses
         // level 0xff.
-        let (_, header_node) = seal_node(&self.gcm, &self.nonce, 0xff, 0, &header_pt);
-        self.out[..NODE_LEN].copy_from_slice(&header_node);
+        let header = &mut self.out[..NODE_LEN];
+        header[IV_LEN..IV_LEN + HEADER_PT_LEN].copy_from_slice(&header_pt);
+        seal_node(&self.gcm, &self.nonce, 0xff, 0, header, HEADER_PT_LEN);
         self.out
     }
 }
@@ -305,19 +373,18 @@ impl<'a> PfsReader<'a> {
         // in advance, so open it directly from its stored IV and tag).
         let header_node = &blob[..NODE_LEN];
         let iv: [u8; IV_LEN] = header_node[..IV_LEN].try_into().expect("12 bytes");
-        if header_node[IV_LEN + HEADER_PT_LEN + TAG_LEN..]
-            .iter()
-            .any(|&b| b != 0)
-        {
+        if !is_zero(&header_node[IV_LEN + HEADER_PT_LEN + TAG_LEN..]) {
             return Err(SgxError::ProtectedFileCorrupted(
                 "nonzero header padding".to_string(),
             ));
         }
-        let mut sealed = Vec::with_capacity(HEADER_PT_LEN + TAG_LEN);
-        sealed.extend_from_slice(&header_node[IV_LEN..IV_LEN + HEADER_PT_LEN + TAG_LEN]);
-        let header_pt = gcm.open(&iv, &node_aad(0xff, 0), &sealed).map_err(|_| {
-            SgxError::ProtectedFileCorrupted("header authentication failed".to_string())
-        })?;
+        let mut header_pt = [0u8; HEADER_PT_LEN];
+        header_pt.copy_from_slice(&header_node[IV_LEN..IV_LEN + HEADER_PT_LEN]);
+        let header_tag = &header_node[IV_LEN + HEADER_PT_LEN..IV_LEN + HEADER_PT_LEN + TAG_LEN];
+        gcm.open_in_place(&iv, &node_aad(0xff, 0), &mut header_pt, header_tag)
+            .map_err(|_| {
+                SgxError::ProtectedFileCorrupted("header authentication failed".to_string())
+            })?;
         if &header_pt[..8] != MAGIC {
             return Err(SgxError::ProtectedFileCorrupted("bad magic".to_string()));
         }
@@ -417,7 +484,16 @@ impl<'a> PfsReader<'a> {
     /// out-of-range index.
     pub fn read_node(&self, index: u64) -> Result<Vec<u8>, SgxError> {
         let _prof = seg_obs::prof::phase("pfs");
-        read_data_node(&self.gcm, self.blob, self.data_len, &self.data_tags, index)
+        let mut out = Vec::new();
+        read_data_node(
+            &self.gcm,
+            self.blob,
+            self.data_len,
+            &self.data_tags,
+            index,
+            &mut out,
+        )?;
+        Ok(out)
     }
 
     /// Decrypts the whole file.
@@ -428,21 +504,19 @@ impl<'a> PfsReader<'a> {
     /// failure.
     pub fn read_all(&self) -> Result<Vec<u8>, SgxError> {
         let _prof = seg_obs::prof::phase("pfs");
-        let mut out = Vec::with_capacity(self.data_len as usize);
-        for i in 0..self.node_count() {
-            out.extend_from_slice(&self.read_node(i)?);
-        }
-        Ok(out)
+        read_all_nodes(&self.gcm, self.blob, self.data_len, &self.data_tags)
     }
 }
 
+/// Decrypts data node `index`, appending its plaintext to `out`.
 fn read_data_node(
     gcm: &Gcm,
     blob: &[u8],
     data_len: u64,
     data_tags: &[[u8; TAG_LEN]],
     index: u64,
-) -> Result<Vec<u8>, SgxError> {
+    out: &mut Vec<u8>,
+) -> Result<(), SgxError> {
     let n = data_node_count(data_len);
     if index >= n {
         return Err(SgxError::ProtectedFileCorrupted(format!(
@@ -456,7 +530,21 @@ fn read_data_node(
     };
     let start = ((1 + index) as usize) * NODE_LEN;
     let node = &blob[start..start + NODE_LEN];
-    open_node(gcm, node, 0, index, len, &data_tags[index as usize])
+    open_node_into(gcm, node, 0, index, len, &data_tags[index as usize], out)
+}
+
+/// Decrypts every data node straight into one buffer.
+fn read_all_nodes(
+    gcm: &Gcm,
+    blob: &[u8],
+    data_len: u64,
+    data_tags: &[[u8; TAG_LEN]],
+) -> Result<Vec<u8>, SgxError> {
+    let mut out = Vec::with_capacity(data_len as usize);
+    for i in 0..data_node_count(data_len) {
+        read_data_node(gcm, blob, data_len, data_tags, i, &mut out)?;
+    }
+    Ok(out)
 }
 
 /// An owning variant of [`PfsReader`], for callers that stream a file's
@@ -519,7 +607,16 @@ impl PfsFile {
     /// out-of-range index.
     pub fn read_node(&self, index: u64) -> Result<Vec<u8>, SgxError> {
         let _prof = seg_obs::prof::phase("pfs");
-        read_data_node(&self.gcm, &self.blob, self.data_len, &self.data_tags, index)
+        let mut out = Vec::new();
+        read_data_node(
+            &self.gcm,
+            &self.blob,
+            self.data_len,
+            &self.data_tags,
+            index,
+            &mut out,
+        )?;
+        Ok(out)
     }
 
     /// Decrypts the whole file.
@@ -530,11 +627,7 @@ impl PfsFile {
     /// failure.
     pub fn read_all(&self) -> Result<Vec<u8>, SgxError> {
         let _prof = seg_obs::prof::phase("pfs");
-        let mut out = Vec::with_capacity(self.data_len as usize);
-        for i in 0..self.node_count() {
-            out.extend_from_slice(&self.read_node(i)?);
-        }
-        Ok(out)
+        read_all_nodes(&self.gcm, &self.blob, self.data_len, &self.data_tags)
     }
 }
 
@@ -550,6 +643,7 @@ pub fn pfs_encrypt<R: SecureRandom>(
 ) -> Result<Vec<u8>, SgxError> {
     let _prof = seg_obs::prof::phase("pfs");
     let mut w = PfsWriter::new(key, rng)?;
+    w.reserve(plaintext.len() as u64);
     w.write(plaintext);
     Ok(w.finish())
 }
@@ -700,6 +794,18 @@ mod tests {
                 "overhead {overhead:.2}% for {plain} bytes outside [{lo}, {hi}]"
             );
         }
+    }
+
+    #[test]
+    fn reserve_is_capped_for_any_announced_size() {
+        let mut w = PfsWriter::new(&KEY, &mut rng()).unwrap();
+        w.reserve(u64::MAX);
+        assert!(w.out.capacity() <= MAX_RESERVE as usize);
+        w.write(b"still a normal file");
+        assert_eq!(
+            pfs_decrypt(&KEY, &w.finish()).unwrap(),
+            b"still a normal file"
+        );
     }
 
     #[test]

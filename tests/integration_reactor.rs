@@ -19,7 +19,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use seg_fs::Perm;
-use seg_net::reactor::ReactorConfig;
+use seg_net::reactor::{ConnId, FrameHandler, FrameOutcome, ReactorConfig, ReactorHandle};
+use seg_net::FrameTransport;
 use seg_store::{MemStore, ObjectStore};
 use segshare::{Client, EnclaveConfig, EnrolledUser, FrontEnd, FsoSetup, SegShareServer};
 
@@ -320,4 +321,116 @@ fn reactor_and_threaded_front_ends_are_equivalent() {
     assert_eq!(reactor_out.1, threaded_out.1, "identical file bytes");
     assert_eq!(reactor_out.2, threaded_out.2, "identical revocation");
     assert!(reactor_out.2, "revocation enforced on both");
+}
+
+// ------------------------------------------------------------- liveness
+
+/// Streams lazily (`more!N` queues N chunks through `on_drain`) and
+/// closes in drain mode on `close!`.
+#[derive(Default)]
+struct LazyEcho {
+    lazy_left: std::sync::Mutex<std::collections::HashMap<ConnId, u32>>,
+}
+
+impl FrameHandler for LazyEcho {
+    fn on_frame(&self, conn: ConnId, frame: Vec<u8>) -> FrameOutcome {
+        if frame == b"close!" {
+            return FrameOutcome {
+                frames: vec![b"bye".to_vec()],
+                close: true,
+                ..Default::default()
+            };
+        }
+        if let Some(n) = frame
+            .strip_prefix(b"more!")
+            .and_then(|d| std::str::from_utf8(d).ok())
+            .and_then(|s| s.parse::<u32>().ok())
+        {
+            self.lazy_left.lock().unwrap().insert(conn, n);
+            return FrameOutcome {
+                more: true,
+                established: true,
+                ..Default::default()
+            };
+        }
+        FrameOutcome {
+            frames: vec![frame],
+            established: true,
+            ..Default::default()
+        }
+    }
+
+    fn on_drain(&self, conn: ConnId) -> FrameOutcome {
+        let mut lazy = self.lazy_left.lock().unwrap();
+        match lazy.get_mut(&conn) {
+            Some(0) | None => FrameOutcome::default(),
+            Some(n) => {
+                *n -= 1;
+                FrameOutcome {
+                    frames: vec![format!("chunk{n}").into_bytes()],
+                    more: true,
+                    ..Default::default()
+                }
+            }
+        }
+    }
+}
+
+/// User + system CPU ticks (10 ms each) this process has burned.
+fn process_cpu_ticks() -> u64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap();
+    // Fields after the parenthesised command name; utime and stime are
+    // fields 14 and 15 of the whole line.
+    let rest = &stat[stat.rfind(')').unwrap() + 2..];
+    let fields: Vec<&str> = rest.split_whitespace().collect();
+    fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
+}
+
+const SPIN_PROBE_CHILD: &str = "SEG_REACTOR_SPIN_PROBE_CHILD";
+
+/// A drain-mode close whose peer has stopped reading must park until
+/// the peer drains — not bounce between the workers. The peer here
+/// never reads, so the outbound queue stays full for good; a 500 ms
+/// idle wait must then cost well under 10 CPU ticks (a requeue spin
+/// across two workers burns 50–100).
+///
+/// Process CPU is the measure, so the probe re-runs itself as the only
+/// test in a child process: the rest of this suite runs in parallel
+/// threads and would otherwise be charged to it.
+#[test]
+fn blocked_drain_close_burns_no_cpu() {
+    if std::env::var_os(SPIN_PROBE_CHILD).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["blocked_drain_close_burns_no_cpu", "--exact", "--nocapture"])
+            .env(SPIN_PROBE_CHILD, "1")
+            .output()
+            .unwrap();
+        let log = String::from_utf8_lossy(&out.stdout).into_owned()
+            + &String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "spin probe failed:\n{log}");
+        assert!(log.contains("1 passed"), "spin probe did not run:\n{log}");
+        return;
+    }
+    let reactor = ReactorHandle::start(
+        ReactorConfig {
+            workers: 2,
+            idle_timeout: Duration::ZERO,
+            ..ReactorConfig::default()
+        },
+        Arc::new(LazyEcho::default()),
+    );
+    let mut peer = reactor.connect_virtual().unwrap();
+    peer.send_frame(b"more!500").unwrap();
+    eventually("the peer queue to fill", || {
+        reactor.stats().outq_bytes() > 0
+    });
+    peer.send_frame(b"close!").unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    let before = process_cpu_ticks();
+    std::thread::sleep(Duration::from_millis(500));
+    let burned = process_cpu_ticks() - before;
+    assert!(
+        burned < 10,
+        "blocked drain-close spun: {burned} ticks in 500 ms"
+    );
 }
