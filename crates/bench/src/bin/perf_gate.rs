@@ -34,6 +34,7 @@ use seg_bench::harness::{
 use seg_bench::json::{self, Json};
 use seg_bench::refkernel::ref_kernel_ms;
 use seg_fs::Perm;
+use seg_obs::meter::Axis;
 use segshare::EnclaveConfig;
 
 /// Regressions below this fraction of the baseline never fail the gate.
@@ -103,16 +104,11 @@ const CONTENTION_MIN_WAIT_NS: u64 = 10_000_000;
 /// The overlapping mix must wait at least this many times longer on the
 /// path key class than the disjoint mix (same op count, same rig).
 const CONTENTION_MIN_RATIO: f64 = 5.0;
-/// Maximum fractional slowdown the always-on watch plane may cost on
-/// the standard small-op mix.
-const WATCH_MAX_OVERHEAD: f64 = 0.02;
-/// Maximum fractional slowdown the health plane (SLO rollup samples,
-/// the background integrity scrubber, and the loopback canary) may
-/// cost on the same mix.
-const HEALTH_MAX_OVERHEAD: f64 = 0.02;
-/// Maximum fractional slowdown the metering plane (per-request cost
-/// attribution) may cost on the same mix.
-const METER_MAX_OVERHEAD: f64 = 0.02;
+/// Maximum fractional slowdown introspection may cost on the standard
+/// small-op mix: every part on (per-request attribution, history
+/// sampling, watchdog, background scrubber and canary) versus the one
+/// switch off.
+const INTROSPECTION_MAX_OVERHEAD: f64 = 0.02;
 /// Minimum true-top-8 principals the meter sketch must recall on the
 /// Zipf-skewed multi-principal workload (more principals than slots).
 const METER_MIN_RECALL: usize = 7;
@@ -179,8 +175,6 @@ struct C10kEvidence {
     /// idle mass was held.
     responsive_at_scale: bool,
     curve: Vec<C10kPoint>,
-    /// reactor / threaded aggregate ops/s at the saturating count.
-    saturation_ratio: f64,
 }
 
 /// Resident set size in KiB from `/proc/self/status` (Linux), or
@@ -216,56 +210,20 @@ fn run_durability_point(batch: bool, ops: usize, tag: &str) -> DurabilityPoint {
         &dir,
         wal,
     );
-    let payload: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
-    let mut clients = Vec::with_capacity(DUR_SESSIONS);
-    for t in 0..DUR_SESSIONS {
-        let mut client = rig.client();
-        let dir = format!("/s{t}");
-        client.mkdir(&dir).expect("mkdir");
-        clients.push((client, dir));
-    }
+    let clients = session_dirs(&rig, DUR_SESSIONS, |t| format!("/s{t}"));
     let base = rig.server.metrics_snapshot();
-    let barrier = Barrier::new(DUR_SESSIONS + 1);
-    let elapsed = std::thread::scope(|scope| {
-        let handles: Vec<_> = clients
-            .into_iter()
-            .map(|(mut client, dir)| {
-                let barrier = &barrier;
-                let payload = &payload;
-                scope.spawn(move || {
-                    barrier.wait();
-                    for j in 0..ops {
-                        client.put(&format!("{dir}/f{j}"), payload).expect("upload");
-                    }
-                })
-            })
-            .collect();
-        barrier.wait();
-        let start = Instant::now();
-        for h in handles {
-            h.join().expect("worker thread");
-        }
-        start.elapsed().as_secs_f64()
-    });
+    let ops_per_s = timed_sessions(clients, ops, false);
     let delta = rig.server.metrics_snapshot().delta(&base);
     let counter = |rendered: &str| delta.counter(rendered).unwrap_or(0);
     let point = DurabilityPoint {
         mode: if batch { "group_commit" } else { "naive_fsync" },
-        ops_per_s: (DUR_SESSIONS * ops) as f64 / elapsed,
+        ops_per_s,
         fsyncs: counter("seg_store_fsyncs_total{store=\"content\"}"),
         batches: counter("seg_store_batches_total{store=\"content\"}"),
     };
     drop(rig);
     let _ = std::fs::remove_dir_all(&dir);
     point
-}
-
-fn run_durability(quick: bool) -> Vec<DurabilityPoint> {
-    let ops = if quick { 8 } else { 16 };
-    vec![
-        run_durability_point(false, ops, "naive"),
-        run_durability_point(true, ops, "group"),
-    ]
 }
 
 /// The durability acceptance check: request batching plus group commit
@@ -312,36 +270,55 @@ fn check_durability(points: &[DurabilityPoint]) -> Vec<String> {
     failures
 }
 
-/// Runs `sessions` full client sessions against `rig` under whichever
-/// front end is currently selected, each performing `ops` operations
-/// (3:1 upload:download of 4 KiB files in a private directory), and
-/// returns aggregate operations per second. Handshakes and directory
-/// setup are outside the timed window; `round` keeps names unique.
-fn run_c10k_point(rig: &Rig, sessions: usize, ops: usize, round: u32) -> f64 {
+/// Opens `sessions` client sessions against `rig`, each creating its
+/// directory `dir(t)` (a directory shared by several sessions is
+/// created once).
+fn session_dirs(
+    rig: &Rig,
+    sessions: usize,
+    dir: impl Fn(usize) -> String,
+) -> Vec<(segshare::Client<seg_net::ChannelTransport>, String)> {
+    (0..sessions)
+        .map(|t| {
+            let mut client = rig.client();
+            let path = dir(t);
+            if t == 0 || dir(t - 1) != path {
+                client.mkdir(&path).expect("mkdir");
+            }
+            (client, path)
+        })
+        .collect()
+}
+
+/// Runs every session on its own thread, released together by a
+/// barrier, each performing `ops` operations on 4 KiB files in its
+/// directory — uploads only, or (with `reads`) a 3:1 upload:download
+/// mix that re-reads a file the session just wrote — and returns the
+/// aggregate operations per second. Only the released work is timed.
+fn timed_sessions(
+    clients: Vec<(segshare::Client<seg_net::ChannelTransport>, String)>,
+    ops: usize,
+    reads: bool,
+) -> f64 {
     let payload: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
-    let mut clients = Vec::with_capacity(sessions);
-    for t in 0..sessions {
-        let mut client = rig.client();
-        let dir = format!("/fe{round}x{t}");
-        client.mkdir(&dir).expect("mkdir");
-        clients.push((client, dir));
-    }
+    let sessions = clients.len();
     let barrier = Barrier::new(sessions + 1);
     let elapsed = std::thread::scope(|scope| {
         let handles: Vec<_> = clients
             .into_iter()
-            .map(|(mut client, dir)| {
-                let barrier = &barrier;
-                let payload = &payload;
+            .enumerate()
+            .map(|(t, (mut client, dir))| {
+                let (barrier, payload) = (&barrier, &payload);
                 scope.spawn(move || {
                     barrier.wait();
                     for j in 0..ops {
-                        if j % 4 == 3 {
-                            let back = format!("{dir}/f{}", j - 1);
+                        if reads && j % 4 == 3 {
+                            let back = format!("{dir}/t{t}f{}", j - 1);
                             let got = client.get(&back).expect("download");
                             assert_eq!(got.len(), payload.len());
                         } else {
-                            client.put(&format!("{dir}/f{j}"), payload).expect("upload");
+                            let path = format!("{dir}/t{t}f{j}");
+                            client.put(&path, payload).expect("upload");
                         }
                     }
                 })
@@ -447,7 +424,8 @@ fn run_c10k(quick: bool) -> C10kEvidence {
             let mut top = 0f64;
             for _ in 0..reps {
                 round += 1;
-                top = top.max(run_c10k_point(&rig, sessions, ops, round));
+                let clients = session_dirs(&rig, sessions, |t| format!("/fe{round}x{t}"));
+                top = top.max(timed_sessions(clients, ops, true));
             }
             curve.push(C10kPoint {
                 mode,
@@ -456,23 +434,29 @@ fn run_c10k(quick: bool) -> C10kEvidence {
             });
         }
     }
-    let at = |mode: &str, sessions: usize| {
-        curve
-            .iter()
-            .find(|p| p.mode == mode && p.sessions == sessions)
-            .map_or(0.0, |p| p.ops_per_s)
-    };
-    let saturate = *C10K_CURVE.last().expect("curve is non-empty");
-    let saturation_ratio =
-        at("reactor", saturate) / at("threaded", saturate).max(f64::MIN_POSITIVE);
-
     C10kEvidence {
         idle_conns,
         idle_kib_per_conn,
         idle_all_live,
         responsive_at_scale,
         curve,
-        saturation_ratio,
+    }
+}
+
+impl C10kEvidence {
+    /// Throughput of one front end at one curve point.
+    fn at(&self, mode: &str, sessions: usize) -> f64 {
+        self.curve
+            .iter()
+            .find(|p| p.mode == mode && p.sessions == sessions)
+            .map_or(0.0, |p| p.ops_per_s)
+    }
+
+    /// Reactor over thread-per-connection throughput at the curve's
+    /// largest session count.
+    fn saturation_ratio(&self) -> f64 {
+        let saturate = *C10K_CURVE.last().expect("curve is non-empty");
+        self.at("reactor", saturate) / self.at("threaded", saturate).max(f64::MIN_POSITIVE)
     }
 }
 
@@ -493,22 +477,15 @@ fn check_c10k(e: &C10kEvidence) -> Vec<String> {
         );
     }
     for &sessions in &C10K_CURVE {
-        let find = |mode: &str| {
-            e.curve
-                .iter()
-                .find(|p| p.mode == mode && p.sessions == sessions)
-                .map_or(0.0, |p| p.ops_per_s)
-        };
+        let (reactor, threaded) = (e.at("reactor", sessions), e.at("threaded", sessions));
         println!(
-            "  sessions={sessions} reactor={:7.1} ops/s  threaded={:7.1} ops/s  ({:.2}x)",
-            find("reactor"),
-            find("threaded"),
-            find("reactor") / find("threaded").max(f64::MIN_POSITIVE),
+            "  sessions={sessions} reactor={reactor:7.1} ops/s  threaded={threaded:7.1} ops/s  ({:.2}x)",
+            reactor / threaded.max(f64::MIN_POSITIVE),
         );
     }
     println!(
         "  -> reactor vs thread-per-conn at saturation: {:.2}x (gate: >= {C10K_MIN_SATURATION_RATIO:.2}x)",
-        e.saturation_ratio,
+        e.saturation_ratio(),
     );
     let mut failures = Vec::new();
     if !e.idle_all_live {
@@ -531,11 +508,11 @@ fn check_c10k(e: &C10kEvidence) -> Vec<String> {
             e.idle_conns
         ));
     }
-    if e.saturation_ratio < C10K_MIN_SATURATION_RATIO {
+    if e.saturation_ratio() < C10K_MIN_SATURATION_RATIO {
         failures.push(format!(
             "c10k: reactor throughput at saturation is {:.2}x the \
              thread-per-connection baseline, below the {C10K_MIN_SATURATION_RATIO:.2}x floor",
-            e.saturation_ratio
+            e.saturation_ratio()
         ));
     }
     failures
@@ -549,37 +526,16 @@ struct ContentionEvidence {
     mix: &'static str,
     /// Per (class, intent): windowed wait sum (ns) and acquisitions.
     waits: Vec<(String, String, u64, u64)>,
-    /// Cumulative most-contended stripes after the run.
+    /// Most-contended stripes during this run alone.
     top: Vec<segshare::enclave::locks::StripeContention>,
 }
 
-impl ContentionEvidence {
-    fn wait_ns(&self, class: &str, intent: &str) -> u64 {
-        self.waits
-            .iter()
-            .find(|(c, i, _, _)| c == class && i == intent)
-            .map_or(0, |&(_, _, sum, _)| sum)
-    }
-}
-
-/// Median wall-clock of the standard small-op probe with the watch
-/// plane on versus off (adjacent order-alternated pairs, so clock and
-/// scheduler drift charge both variants equally).
-struct WatchOverheadEvidence {
-    on_s: f64,
-    off_s: f64,
-}
-
-impl WatchOverheadEvidence {
-    fn overhead(&self) -> f64 {
-        self.on_s / self.off_s - 1.0
-    }
-}
-
-/// Same adjacent-pair-median comparison for the health plane, plus the
-/// background work that demonstrably ran while the "on" probes were
-/// being timed and the final declassified report (the CI artifact).
-struct HealthOverheadEvidence {
+/// Median wall-clock of the standard small-op probe with introspection
+/// on versus off (adjacent order-alternated pairs, so clock and
+/// scheduler drift charge both variants equally), plus the background
+/// work that demonstrably ran while the "on" probes were being timed
+/// and the final introspection report (the CI artifact).
+struct IntrospectionOverheadEvidence {
     on_s: f64,
     off_s: f64,
     scrub_passes: u64,
@@ -587,19 +543,7 @@ struct HealthOverheadEvidence {
     report: String,
 }
 
-impl HealthOverheadEvidence {
-    fn overhead(&self) -> f64 {
-        self.on_s / self.off_s - 1.0
-    }
-}
-
-/// Same adjacent-pair-median comparison for the metering plane.
-struct MeterOverheadEvidence {
-    on_s: f64,
-    off_s: f64,
-}
-
-impl MeterOverheadEvidence {
+impl IntrospectionOverheadEvidence {
     fn overhead(&self) -> f64 {
         self.on_s / self.off_s - 1.0
     }
@@ -652,54 +596,14 @@ fn run_concurrency_point(
     round: u32,
 ) -> f64 {
     rig.server.enclave().locks().set_coarse(coarse);
-    let payload: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
-
-    let mut clients = Vec::with_capacity(threads);
-    for t in 0..threads {
-        let mut client = rig.client();
-        let dir = if shared_dir {
+    let clients = session_dirs(rig, threads, |t| {
+        if shared_dir {
             format!("/shared{round}")
         } else {
             format!("/c{round}x{t}")
-        };
-        if !shared_dir || t == 0 {
-            client.mkdir(&dir).expect("mkdir");
         }
-        clients.push((client, dir));
-    }
-
-    let barrier = Barrier::new(threads + 1);
-    let elapsed = std::thread::scope(|scope| {
-        let handles: Vec<_> = clients
-            .into_iter()
-            .enumerate()
-            .map(|(t, (mut client, dir))| {
-                let barrier = &barrier;
-                let payload = &payload;
-                scope.spawn(move || {
-                    barrier.wait();
-                    for j in 0..ops {
-                        let path = format!("{dir}/t{t}f{j}");
-                        if j % 4 == 3 {
-                            // Re-read a file this session already wrote.
-                            let back = format!("{dir}/t{t}f{}", j - 1);
-                            let got = client.get(&back).expect("download");
-                            assert_eq!(got.len(), payload.len());
-                        } else {
-                            client.put(&path, payload).expect("upload");
-                        }
-                    }
-                })
-            })
-            .collect();
-        barrier.wait();
-        let start = Instant::now();
-        for h in handles {
-            h.join().expect("worker thread");
-        }
-        start.elapsed().as_secs_f64()
     });
-    (threads * ops) as f64 / elapsed
+    timed_sessions(clients, ops, true)
 }
 
 /// Measures the full scaling matrix: disjoint-directory mix at 1/2/4/8
@@ -774,38 +678,29 @@ fn conc_point<'a>(
         .expect("concurrency matrix covers this point")
 }
 
-fn print_concurrency(points: &[ConcurrencyPoint]) {
-    println!(
-        "== concurrency (store round-trip {} µs, 3:1 put:get of 4 KiB) ==",
-        CONC_STORE_DELAY.as_micros()
-    );
-    for threads in [1usize, 2, 4, 8] {
-        let coarse = conc_point(points, "disjoint", "coarse", threads);
-        let fine = conc_point(points, "disjoint", "fine", threads);
-        println!(
-            "  disjoint      threads={threads} coarse={:7.1} ops/s  fine={:7.1} ops/s  ({:.2}x)",
-            coarse.ops_per_s,
-            fine.ops_per_s,
-            fine.ops_per_s / coarse.ops_per_s,
-        );
-    }
-    for mix in ["overlapping", "disjoint_tree"] {
-        let coarse = conc_point(points, mix, "coarse", 8);
-        let fine = conc_point(points, mix, "fine", 8);
-        println!(
-            "  {mix:<13} threads=8 coarse={:7.1} ops/s  fine={:7.1} ops/s  ({:.2}x)",
-            coarse.ops_per_s,
-            fine.ops_per_s,
-            fine.ops_per_s / coarse.ops_per_s,
-        );
-    }
-}
-
 /// The concurrency acceptance check: per-object locking must deliver at
 /// least [`CONC_MIN_SPEEDUP`]× the coarse global lock's aggregate
 /// throughput at 8 threads on the disjoint mix. Store-latency-bound by
 /// construction, so the bar holds on any host core count.
 fn check_concurrency(points: &[ConcurrencyPoint]) -> Vec<String> {
+    println!(
+        "== concurrency (store round-trip {} µs, 3:1 put:get of 4 KiB) ==",
+        CONC_STORE_DELAY.as_micros()
+    );
+    let rows = [1, 2, 4, 8].map(|threads| ("disjoint", threads));
+    for (mix, threads) in rows
+        .into_iter()
+        .chain([("overlapping", 8), ("disjoint_tree", 8)])
+    {
+        let coarse = conc_point(points, mix, "coarse", threads);
+        let fine = conc_point(points, mix, "fine", threads);
+        println!(
+            "  {mix:<13} threads={threads} coarse={:7.1} ops/s  fine={:7.1} ops/s  ({:.2}x)",
+            coarse.ops_per_s,
+            fine.ops_per_s,
+            fine.ops_per_s / coarse.ops_per_s,
+        );
+    }
     let coarse = conc_point(points, "disjoint", "coarse", 8);
     let fine = conc_point(points, "disjoint", "fine", 8);
     let speedup = fine.ops_per_s / coarse.ops_per_s;
@@ -828,6 +723,7 @@ fn run_contention_evidence(rig: &Rig, ops: usize, round: &mut u32) -> Vec<Conten
     let mut evidence = Vec::new();
     for (mix, shared_dir) in [("overlapping", true), ("disjoint", false)] {
         let base = rig.server.metrics_snapshot();
+        let stripes = rig.server.enclave().locks().stripe_tally();
         *round += 1;
         run_concurrency_point(rig, false, 8, ops, shared_dir, *round);
         let delta = rig.server.metrics_snapshot().delta(&base);
@@ -850,13 +746,16 @@ fn run_contention_evidence(rig: &Rig, ops: usize, round: &mut u32) -> Vec<Conten
         evidence.push(ContentionEvidence {
             mix,
             waits,
-            top: rig.server.enclave().locks().contended_stripes(8),
+            top: rig.server.enclave().locks().top_since(&stripes, 8),
         });
     }
     evidence
 }
 
-fn print_contention(evidence: &[ContentionEvidence]) {
+/// The contention acceptance check: the overlapping mix must show
+/// substantial, attributable wait on the path key class while the
+/// disjoint mix (same op count) stays far below it.
+fn check_contention(evidence: &[ContentionEvidence]) -> Vec<String> {
     println!("== contention attribution (8 threads, fine locks) ==");
     for e in evidence {
         println!("  {} mix:", e.mix);
@@ -868,23 +767,20 @@ fn print_contention(evidence: &[ContentionEvidence]) {
         }
         if let Some(top) = e.top.first() {
             println!(
-                "    hottest stripe #{} with {:.2} ms cumulative wait",
+                "    hottest stripe #{} with {:.2} ms wait in this run",
                 top.stripe,
                 top.wait_ns as f64 / 1e6
             );
         }
     }
-}
-
-/// The contention acceptance check: the overlapping mix must show
-/// substantial, attributable wait on the path key class while the
-/// disjoint mix (same op count) stays far below it.
-fn check_contention(evidence: &[ContentionEvidence]) -> Vec<String> {
     let wait = |mix: &str| {
-        evidence
-            .iter()
-            .find(|e| e.mix == mix)
-            .map_or(0, |e| e.wait_ns("path", "write"))
+        let e = evidence.iter().find(|e| e.mix == mix);
+        e.and_then(|e| {
+            e.waits
+                .iter()
+                .find(|(c, i, _, _)| c == "path" && i == "write")
+        })
+        .map_or(0, |&(_, _, sum, _)| sum)
     };
     let overlapping = wait("overlapping");
     let disjoint = wait("disjoint");
@@ -913,72 +809,27 @@ fn check_contention(evidence: &[ContentionEvidence]) -> Vec<String> {
     failures
 }
 
-/// Measures the watch plane's cost on the standard small-op mix.
+/// Measures introspection's whole cost on the standard small-op mix.
 ///
 /// The effect is far smaller than coarse-batch jitter, so the
 /// measurement is paired at the *operation* level: each probe runs the
 /// same stationary op (overwrite-put + get of fixed 4 KiB files —
 /// creating files would grow the directory and skew later probes) once
-/// with the plane on and once off, adjacent in time and with the order
-/// alternating, so frequency and scheduler drift charge both variants
-/// equally. Medians over all pairs make single stalled ops irrelevant.
-fn run_watch_overhead(
-    rig: &Rig,
-    client: &mut segshare::Client<seg_net::ChannelTransport>,
-    pairs: usize,
-) -> WatchOverheadEvidence {
-    let p4k: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
-    client.put("/watch-probe", &p4k).expect("prefill");
-    client.put("/watch-probe-w", &p4k).expect("prefill");
-    let probe = |client: &mut segshare::Client<seg_net::ChannelTransport>| {
-        let start = Instant::now();
-        client.put("/watch-probe-w", &p4k).expect("upload");
-        let got = client.get("/watch-probe").expect("download");
-        assert_eq!(got.len(), p4k.len());
-        start.elapsed().as_secs_f64()
-    };
-    for _ in 0..16 {
-        probe(client); // warmup, untimed
-    }
-    let mut on_times = Vec::with_capacity(pairs);
-    let mut off_times = Vec::with_capacity(pairs);
-    for i in 0..pairs {
-        for flip in [false, true] {
-            let on = (i % 2 == 0) ^ flip;
-            rig.server.set_watch(on);
-            let elapsed = probe(client);
-            if on {
-                on_times.push(elapsed);
-            } else {
-                off_times.push(elapsed);
-            }
-        }
-    }
-    rig.server.set_watch(true);
-    let median = |times: &mut Vec<f64>| {
-        times.sort_by(f64::total_cmp);
-        times[times.len() / 2]
-    };
-    WatchOverheadEvidence {
-        on_s: median(&mut on_times),
-        off_s: median(&mut off_times),
-    }
-}
-
-/// Measures the health plane's cost on the standard small-op mix.
+/// with introspection on and once off, adjacent in time and with the
+/// order alternating, so frequency and scheduler drift charge both
+/// variants equally. Medians over all pairs make single stalled ops
+/// irrelevant.
 ///
-/// A dedicated rig: the workload rig's paper-prototype config disables
-/// the scrubber (`scrub_interval_us: 0`), and the point here is to
-/// price the *whole* plane — so the background runner ticks every 5 ms
-/// against a 50 ms scrub cadence with the loopback canary firing every
-/// 100 ms, all live while the "on" probes are timed. That is still
-/// 20× the default 1 s scrub cadence, so the measurement bounds any
-/// production setting without letting the background duty cycle drown
-/// the paired probes on a single-core runner. The off/on pairing is
-/// the same operation-level, order-alternated median scheme as
-/// [`run_watch_overhead`]: `set_health(false)` makes the runner's
-/// ticks, samples, and canary no-ops without stopping the thread.
-fn run_health_overhead(pairs: usize) -> HealthOverheadEvidence {
+/// A dedicated rig prices the *whole* substrate: the background runner
+/// ticks every 5 ms against a 50 ms scrub cadence with the loopback
+/// canary firing every 100 ms, all live while the "on" probes are
+/// timed. That is still 20× the default 1 s scrub cadence, so the
+/// measurement bounds any production setting without letting the
+/// background duty cycle drown the paired probes on a single-core
+/// runner. `set_introspection(false)` turns off the per-request hook
+/// and makes the runner's ticks, samples, and canary no-ops without
+/// stopping the thread.
+fn run_introspection_overhead(pairs: usize) -> IntrospectionOverheadEvidence {
     let rig = Rig::new(EnclaveConfig {
         scrub_interval_us: 50_000,
         ..EnclaveConfig::paper_prototype()
@@ -994,12 +845,12 @@ fn run_health_overhead(pairs: usize) -> HealthOverheadEvidence {
     });
     let mut client = rig.client();
     let p4k: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
-    client.put("/health-probe", &p4k).expect("prefill");
-    client.put("/health-probe-w", &p4k).expect("prefill");
+    client.put("/probe", &p4k).expect("prefill");
+    client.put("/probe-w", &p4k).expect("prefill");
     let probe = |client: &mut segshare::Client<seg_net::ChannelTransport>| {
         let start = Instant::now();
-        client.put("/health-probe-w", &p4k).expect("upload");
-        let got = client.get("/health-probe").expect("download");
+        client.put("/probe-w", &p4k).expect("upload");
+        let got = client.get("/probe").expect("download");
         assert_eq!(got.len(), p4k.len());
         start.elapsed().as_secs_f64()
     };
@@ -1011,7 +862,7 @@ fn run_health_overhead(pairs: usize) -> HealthOverheadEvidence {
     for i in 0..pairs {
         for flip in [false, true] {
             let on = (i % 2 == 0) ^ flip;
-            rig.server.set_health(on);
+            rig.server.set_introspection(on);
             let elapsed = probe(&mut client);
             if on {
                 on_times.push(elapsed);
@@ -1020,7 +871,7 @@ fn run_health_overhead(pairs: usize) -> HealthOverheadEvidence {
             }
         }
     }
-    rig.server.set_health(true);
+    rig.server.set_introspection(true);
     // The report artifact should carry at least one completed pass over
     // the probe namespace; the aggressive cadence makes this quick.
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -1038,60 +889,12 @@ fn run_health_overhead(pairs: usize) -> HealthOverheadEvidence {
         times.sort_by(f64::total_cmp);
         times[times.len() / 2]
     };
-    HealthOverheadEvidence {
+    IntrospectionOverheadEvidence {
         on_s: median(&mut on_times),
         off_s: median(&mut off_times),
         scrub_passes: health.scrub_passes(),
         canary_probes: health.canary_probes(),
-        report: rig.server.health_report(),
-    }
-}
-
-/// Measures the metering plane's cost on the standard small-op mix —
-/// the same operation-level, order-alternated median scheme as
-/// [`run_watch_overhead`]: `set_meter(false)` reduces the per-request
-/// cost to one relaxed atomic load, while "on" pays the full counter
-/// sweep, operand HMACs, and sketch update.
-fn run_meter_overhead(
-    rig: &Rig,
-    client: &mut segshare::Client<seg_net::ChannelTransport>,
-    pairs: usize,
-) -> MeterOverheadEvidence {
-    let p4k: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
-    client.put("/meter-probe", &p4k).expect("prefill");
-    client.put("/meter-probe-w", &p4k).expect("prefill");
-    let probe = |client: &mut segshare::Client<seg_net::ChannelTransport>| {
-        let start = Instant::now();
-        client.put("/meter-probe-w", &p4k).expect("upload");
-        let got = client.get("/meter-probe").expect("download");
-        assert_eq!(got.len(), p4k.len());
-        start.elapsed().as_secs_f64()
-    };
-    for _ in 0..16 {
-        probe(client); // warmup, untimed
-    }
-    let mut on_times = Vec::with_capacity(pairs);
-    let mut off_times = Vec::with_capacity(pairs);
-    for i in 0..pairs {
-        for flip in [false, true] {
-            let on = (i % 2 == 0) ^ flip;
-            rig.server.set_meter(on);
-            let elapsed = probe(client);
-            if on {
-                on_times.push(elapsed);
-            } else {
-                off_times.push(elapsed);
-            }
-        }
-    }
-    rig.server.set_meter(true);
-    let median = |times: &mut Vec<f64>| {
-        times.sort_by(f64::total_cmp);
-        times[times.len() / 2]
-    };
-    MeterOverheadEvidence {
-        on_s: median(&mut on_times),
-        off_s: median(&mut off_times),
+        report: rig.server.introspect(),
     }
 }
 
@@ -1135,38 +938,41 @@ fn run_meter_attribution(quick: bool) -> MeterAttributionEvidence {
         }
     }
     let meter = rig.server.enclave().meter();
-    let reported: Vec<u64> = meter.top_principals(8).iter().map(|s| s.fp).collect();
+    let reported: Vec<u64> = meter.top(Axis::Principal, 8).iter().map(|s| s.fp).collect();
     let recalled = expected_top8
         .iter()
         .filter(|fp| reported.contains(fp))
         .count();
-    let stats = meter.stats();
+    let stats = meter.stats(Axis::Principal);
     MeterAttributionEvidence {
         principals,
         ops: total,
         recalled_top8: recalled,
-        tracked: stats.principals.tracked,
-        evictions: stats.principals.evictions,
-        report: rig.server.meter_report(),
+        tracked: stats.tracked,
+        evictions: stats.evictions,
+        report: rig.server.introspect(),
     }
 }
 
-fn check_meter_overhead(meter: &MeterOverheadEvidence) -> Vec<String> {
-    let overhead = meter.overhead();
+fn check_introspection_overhead(e: &IntrospectionOverheadEvidence) -> Vec<String> {
+    let overhead = e.overhead();
     println!(
-        "== meter plane overhead == on={} off={} ({:+.2}%; gate: <= {:.0}%)",
-        fmt_s(meter.on_s),
-        fmt_s(meter.off_s),
+        "== introspection overhead (all on vs all off) == on={} off={} ({:+.2}%; \
+         gate: <= {:.0}%) [{} scrub passes, {} canary probes during run]",
+        fmt_s(e.on_s),
+        fmt_s(e.off_s),
         overhead * 100.0,
-        METER_MAX_OVERHEAD * 100.0,
+        INTROSPECTION_MAX_OVERHEAD * 100.0,
+        e.scrub_passes,
+        e.canary_probes,
     );
-    if overhead <= METER_MAX_OVERHEAD {
+    if overhead <= INTROSPECTION_MAX_OVERHEAD {
         Vec::new()
     } else {
         vec![format!(
-            "meter: plane overhead {:.2}% exceeds the {:.0}% budget",
+            "introspection: overhead {:.2}% exceeds the {:.0}% budget",
             overhead * 100.0,
-            METER_MAX_OVERHEAD * 100.0,
+            INTROSPECTION_MAX_OVERHEAD * 100.0,
         )]
     }
 }
@@ -1206,49 +1012,6 @@ fn check_meter_attribution(attr: &MeterAttributionEvidence) -> Vec<String> {
         ));
     }
     failures
-}
-
-fn check_health_overhead(health: &HealthOverheadEvidence) -> Vec<String> {
-    let overhead = health.overhead();
-    println!(
-        "== health plane overhead == on={} off={} ({:+.2}%; gate: <= {:.0}%) \
-         [{} scrub passes, {} canary probes during run]",
-        fmt_s(health.on_s),
-        fmt_s(health.off_s),
-        overhead * 100.0,
-        HEALTH_MAX_OVERHEAD * 100.0,
-        health.scrub_passes,
-        health.canary_probes,
-    );
-    if overhead <= HEALTH_MAX_OVERHEAD {
-        Vec::new()
-    } else {
-        vec![format!(
-            "health: plane overhead {:.2}% exceeds the {:.0}% budget",
-            overhead * 100.0,
-            HEALTH_MAX_OVERHEAD * 100.0,
-        )]
-    }
-}
-
-fn check_watch_overhead(watch: &WatchOverheadEvidence) -> Vec<String> {
-    let overhead = watch.overhead();
-    println!(
-        "== watch plane overhead == on={} off={} ({:+.2}%; gate: <= {:.0}%)",
-        fmt_s(watch.on_s),
-        fmt_s(watch.off_s),
-        overhead * 100.0,
-        WATCH_MAX_OVERHEAD * 100.0,
-    );
-    if overhead <= WATCH_MAX_OVERHEAD {
-        Vec::new()
-    } else {
-        vec![format!(
-            "watch: plane overhead {:.2}% exceeds the {:.0}% budget",
-            overhead * 100.0,
-            WATCH_MAX_OVERHEAD * 100.0,
-        )]
-    }
 }
 
 fn repo_root() -> PathBuf {
@@ -1415,29 +1178,23 @@ fn main() {
     }
     print_cache_evidence(&cache_evidence);
 
-    // Watch-plane overhead: the always-on contention/saturation plane
-    // must stay within its budget on the standard small-op mix.
-    let watch_overhead = run_watch_overhead(&rig, &mut client, if quick { 300 } else { 800 });
-    let mut failures = check_watch_overhead(&watch_overhead);
-
-    // Health-plane overhead: same pairing scheme, on a dedicated rig
-    // with the scrubber, rollups, and canary all running (see
-    // `run_health_overhead`).
-    let health_overhead = run_health_overhead(if quick { 300 } else { 800 });
-    failures.extend(check_health_overhead(&health_overhead));
-
-    // Meter-plane overhead on the same mix, then the Zipf-skewed
-    // multi-principal attribution run on a dedicated rig (see
-    // `run_meter_attribution`).
-    let meter_overhead = run_meter_overhead(&rig, &mut client, if quick { 300 } else { 800 });
-    failures.extend(check_meter_overhead(&meter_overhead));
+    // Introspection overhead: the one switch, all on vs all off, on a
+    // dedicated rig with the scrubber, history sampler, and canary all
+    // running (see `run_introspection_overhead`). Then the Zipf-skewed
+    // multi-principal attribution run (see `run_meter_attribution`).
+    let introspection = run_introspection_overhead(if quick { 300 } else { 800 });
+    let mut failures = check_introspection_overhead(&introspection);
     let meter_attr = run_meter_attribution(quick);
     failures.extend(check_meter_attribution(&meter_attr));
 
     // Durability comparison: request-batched group commit vs naive
     // per-operation fsync, both on WAL-backed rigs with the same
     // simulated fsync cost (see `run_durability_point`).
-    let dur_points = run_durability(quick);
+    let dur_ops = if quick { 8 } else { 16 };
+    let dur_points = vec![
+        run_durability_point(false, dur_ops, "naive"),
+        run_durability_point(true, dur_ops, "group"),
+    ];
     failures.extend(check_durability(&dur_points));
 
     // The c10k workload: 10k held idle reactor connections with
@@ -1449,7 +1206,6 @@ fn main() {
     // Thread-scaling matrix: per-object locks vs the coarse global
     // lock, on a store-latency-bound rig (see `run_concurrency`).
     let conc_points = run_concurrency(if quick { 2 } else { 3 }, if quick { 8 } else { 12 });
-    print_concurrency(&conc_points);
     failures.extend(check_concurrency(&conc_points));
 
     // Lock-wait attribution on a fresh store-latency-bound rig: the
@@ -1457,12 +1213,11 @@ fn main() {
     let conc_rig = Rig::with_store_latency(concurrency_config(), CONC_STORE_DELAY);
     let mut round = 0u32;
     let contention = run_contention_evidence(&conc_rig, if quick { 8 } else { 12 }, &mut round);
-    print_contention(&contention);
     failures.extend(check_contention(&contention));
 
     // Declassified aggregates for the report (explicit enclave exits).
     let snapshot = rig.server.metrics_snapshot();
-    let profile = rig.server.profile_snapshot();
+    let profile = rig.server.enclave().profile_snapshot();
 
     let root = repo_root();
     let report = build_report(
@@ -1476,9 +1231,7 @@ fn main() {
         &contention,
         &dur_points,
         &c10k,
-        &watch_overhead,
-        &health_overhead,
-        &meter_overhead,
+        &introspection,
         &meter_attr,
     );
     let report_path = root.join("BENCH_perf.json");
@@ -1493,28 +1246,20 @@ fn main() {
         collapsed_path.display()
     );
 
-    // The contention rig's correlated watch bundle: flight frames over
-    // the contended runs, lock top-K, trace tail, profile — the
-    // artifact CI uploads next to BENCH_perf.json.
-    let flight_path = root.join("results/watch_flight.json");
-    std::fs::write(&flight_path, conc_rig.server.watch_report()).expect("write watch_flight.json");
-    println!(
-        "wrote {} (watch-plane correlated bundle)",
-        flight_path.display()
-    );
-
-    // The health rig's declassified report: verdict, scrub tallies,
-    // canary stats, SLO status, retention rings — uploaded by CI.
-    let health_path = root.join("results/health_report.json");
-    std::fs::write(&health_path, &health_overhead.report).expect("write health_report.json");
-    println!("wrote {} (health-plane report)", health_path.display());
-
-    // The attribution rig's declassified meter report: top-K talkers,
-    // heaviest groups, hottest prefixes, fairness split — uploaded by
-    // CI next to the other plane artifacts.
-    let meter_path = root.join("results/meter_report.json");
-    std::fs::write(&meter_path, &meter_attr.report).expect("write meter_report.json");
-    println!("wrote {} (meter-plane report)", meter_path.display());
+    // The introspection reports CI uploads next to BENCH_perf.json:
+    // the contention rig (history over the contended runs, stripe
+    // top-K, trace tail, profile), the overhead rig (scrub, canary,
+    // and SLO verdict after a full pass), and the Zipf attribution rig
+    // (top-K talkers, fairness split).
+    for (name, report) in [
+        ("introspect_contention", conc_rig.server.introspect()),
+        ("introspect_overhead", introspection.report),
+        ("introspect_attribution", meter_attr.report),
+    ] {
+        let path = root.join(format!("results/{name}.json"));
+        std::fs::write(&path, report).expect("write introspection report");
+        println!("wrote {}", path.display());
+    }
 
     let baseline_path = root.join("results/bench_baseline.json");
     if update_baseline {
@@ -1653,6 +1398,16 @@ fn check_gate(results: &[WorkloadResult], baseline: &Json, ref_ms: f64) -> Vec<S
     failures
 }
 
+/// Writes `rows` as the body of a JSON object or array: one row per
+/// line at `indent`, comma-separated.
+fn push_rows(out: &mut String, indent: &str, rows: impl Iterator<Item = String>) {
+    let rows: Vec<String> = rows.collect();
+    for (i, row) in rows.iter().enumerate() {
+        let comma = if i + 1 < rows.len() { "," } else { "" };
+        let _ = writeln!(out, "{indent}{row}{comma}");
+    }
+}
+
 /// The committed baseline: the reference-kernel time it was taken at
 /// plus per-workload wall-clock mean + CI95 (what the gate compares).
 /// The GCM throughput and the paper projection are recorded for
@@ -1662,17 +1417,19 @@ fn build_baseline(results: &[WorkloadResult], ref_ms: f64, local_mbps: f64) -> S
     let _ = writeln!(out, "  \"ref_kernel_ms\": {ref_ms:.3},");
     let _ = writeln!(out, "  \"gcm_mbps\": {local_mbps:.1},");
     out.push_str("  \"ops\": {\n");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    \"{}\": {{\"mean_s\": {:.9}, \"ci95_s\": {:.9}, \"norm_mean_s\": {:.9}}}{comma}",
-            r.name,
-            r.measured.mean_s,
-            r.measured.ci95_s(),
-            r.norm_mean_s,
-        );
-    }
+    push_rows(
+        &mut out,
+        "    ",
+        results.iter().map(|r| {
+            format!(
+                "\"{}\": {{\"mean_s\": {:.9}, \"ci95_s\": {:.9}, \"norm_mean_s\": {:.9}}}",
+                r.name,
+                r.measured.mean_s,
+                r.measured.ci95_s(),
+                r.norm_mean_s
+            )
+        }),
+    );
     out.push_str("  }\n}\n");
     out
 }
@@ -1692,9 +1449,7 @@ fn build_report(
     contention: &[ContentionEvidence],
     dur_points: &[DurabilityPoint],
     c10k: &C10kEvidence,
-    watch: &WatchOverheadEvidence,
-    health: &HealthOverheadEvidence,
-    meter: &MeterOverheadEvidence,
+    introspection: &IntrospectionOverheadEvidence,
     meter_attr: &MeterAttributionEvidence,
 ) -> String {
     let mut out = String::from("{\n");
@@ -1702,39 +1457,39 @@ fn build_report(
     let _ = writeln!(out, "  \"gcm_mbps\": {local_mbps:.1},");
 
     out.push_str("  \"workloads\": {\n");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    \"{}\": {{\"mean_s\": {:.9}, \"sd_s\": {:.9}, \"ci95_s\": {:.9}, \
-             \"warmup_s\": {:.9}, \"runs\": {}, \"norm_mean_s\": {:.9}}}{comma}",
-            r.name,
-            r.measured.mean_s,
-            r.measured.sd_s,
-            r.measured.ci95_s(),
-            r.measured.warmup_s,
-            r.measured.runs,
-            r.norm_mean_s,
-        );
-    }
+    push_rows(
+        &mut out,
+        "    ",
+        results.iter().map(|r| {
+            format!(
+                "\"{}\": {{\"mean_s\": {:.9}, \"sd_s\": {:.9}, \"ci95_s\": {:.9}, \
+                 \"warmup_s\": {:.9}, \"runs\": {}, \"norm_mean_s\": {:.9}}}",
+                r.name,
+                r.measured.mean_s,
+                r.measured.sd_s,
+                r.measured.ci95_s(),
+                r.measured.warmup_s,
+                r.measured.runs,
+                r.norm_mean_s,
+            )
+        }),
+    );
     out.push_str("  },\n");
 
     // Per-protocol-op latency quantiles (wall-clock nanoseconds).
     out.push_str("  \"ops\": {\n");
-    let op_rows: Vec<_> = snapshot
+    let op_rows = snapshot
         .histograms
         .iter()
         .filter(|(id, s)| id.name() == "seg_request_latency_ns" && s.count > 0)
-        .collect();
-    for (i, (id, s)) in op_rows.iter().enumerate() {
-        let comma = if i + 1 < op_rows.len() { "," } else { "" };
-        let op = id.labels().first().map(|&(_, v)| v).unwrap_or("?");
-        let _ = writeln!(
-            out,
-            "    \"{op}\": {{\"count\": {}, \"p50_ns\": {}, \"p95_ns\": {}}}{comma}",
-            s.count, s.p50, s.p95,
-        );
-    }
+        .map(|(id, s)| {
+            let op = id.labels().first().map(|&(_, v)| v).unwrap_or("?");
+            format!(
+                "\"{op}\": {{\"count\": {}, \"p50_ns\": {}, \"p95_ns\": {}}}",
+                s.count, s.p50, s.p95
+            )
+        });
+    push_rows(&mut out, "    ", op_rows);
     out.push_str("  },\n");
 
     // Per-phase self time across all operations, grouped by leaf phase
@@ -1748,40 +1503,38 @@ fn build_report(
         .collect();
     let breakdown = profile.phase_breakdown(&all_ops);
     out.push_str("  \"phases\": {\n");
-    for (i, (leaf, ns)) in breakdown.iter().enumerate() {
-        let comma = if i + 1 < breakdown.len() { "," } else { "" };
-        let norm_s = normalize_processing(*ns as f64 * 1e-9, local_mbps);
-        let _ = writeln!(
-            out,
-            "    \"{leaf}\": {{\"self_ns\": {ns}, \"norm_self_s\": {norm_s:.9}}}{comma}"
-        );
-    }
+    push_rows(
+        &mut out,
+        "    ",
+        breakdown.iter().map(|(leaf, ns)| {
+            let norm_s = normalize_processing(*ns as f64 * 1e-9, local_mbps);
+            format!("\"{leaf}\": {{\"self_ns\": {ns}, \"norm_self_s\": {norm_s:.9}}}")
+        }),
+    );
     out.push_str("  },\n");
 
     // Object-cache ablation evidence from the metadata-hot runs: the
     // work the cache removes, in units the gate's normalization can't
     // blur (GCM invocations and untrusted-store reads are counts).
     out.push_str("  \"cache\": {\n");
-    for (i, e) in cache_evidence.iter().enumerate() {
-        let comma = if i + 1 < cache_evidence.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "    \"{}\": {{\"cache\": {}, \"pfs_decrypts\": {}, \"store_gets\": {}, \
-             \"hits\": {}, \"misses\": {}, \"fills\": {}, \"hit_ratio\": {:.4}}}{comma}",
-            e.name,
-            e.cache,
-            e.pfs_decrypts,
-            e.store_gets,
-            e.hits,
-            e.misses,
-            e.fills,
-            e.hit_ratio(),
-        );
-    }
+    push_rows(
+        &mut out,
+        "    ",
+        cache_evidence.iter().map(|e| {
+            format!(
+                "\"{}\": {{\"cache\": {}, \"pfs_decrypts\": {}, \"store_gets\": {}, \
+                 \"hits\": {}, \"misses\": {}, \"fills\": {}, \"hit_ratio\": {:.4}}}",
+                e.name,
+                e.cache,
+                e.pfs_decrypts,
+                e.store_gets,
+                e.hits,
+                e.misses,
+                e.fills,
+                e.hit_ratio(),
+            )
+        }),
+    );
     out.push_str("  },\n");
 
     // The thread-scaling matrix: aggregate throughput per (mix, lock
@@ -1794,14 +1547,16 @@ fn build_report(
         CONC_STORE_DELAY.as_micros()
     );
     out.push_str("    \"points\": [\n");
-    for (i, p) in conc_points.iter().enumerate() {
-        let comma = if i + 1 < conc_points.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "      {{\"mix\": \"{}\", \"mode\": \"{}\", \"threads\": {}, \"ops_per_s\": {:.3}}}{comma}",
-            p.mix, p.mode, p.threads, p.ops_per_s,
-        );
-    }
+    push_rows(
+        &mut out,
+        "      ",
+        conc_points.iter().map(|p| {
+            format!(
+                "{{\"mix\": \"{}\", \"mode\": \"{}\", \"threads\": {}, \"ops_per_s\": {:.3}}}",
+                p.mix, p.mode, p.threads, p.ops_per_s
+            )
+        }),
+    );
     out.push_str("    ],\n");
     let speedup = conc_point(conc_points, "disjoint", "fine", 8).ops_per_s
         / conc_point(conc_points, "disjoint", "coarse", 8).ops_per_s;
@@ -1813,30 +1568,27 @@ fn build_report(
     // vs disjoint 8-thread runs, plus the hottest stripes. This is the
     // measured explanation for the overlapping mix's ~1x scaling.
     out.push_str("  \"contention\": {\n");
-    for (i, e) in contention.iter().enumerate() {
-        let comma = if i + 1 < contention.len() { "," } else { "" };
-        let _ = writeln!(out, "    \"{}\": {{", e.mix);
-        out.push_str("      \"lock_wait\": [\n");
-        for (j, (class, intent, sum, count)) in e.waits.iter().enumerate() {
-            let comma = if j + 1 < e.waits.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "        {{\"class\": \"{class}\", \"intent\": \"{intent}\", \
-                 \"wait_ns\": {sum}, \"acquisitions\": {count}}}{comma}"
-            );
-        }
-        out.push_str("      ],\n");
-        out.push_str("      \"top_stripes\": [\n");
-        for (j, s) in e.top.iter().enumerate() {
-            let comma = if j + 1 < e.top.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "        {{\"stripe\": {}, \"wait_ns\": {}, \"waits\": {}}}{comma}",
+    let mixes = contention.iter().map(|e| {
+        let mut mix = format!("\"{}\": {{\n      \"lock_wait\": [\n", e.mix);
+        let waits = e.waits.iter().map(|(class, intent, sum, count)| {
+            format!(
+                "{{\"class\": \"{class}\", \"intent\": \"{intent}\", \
+                 \"wait_ns\": {sum}, \"acquisitions\": {count}}}"
+            )
+        });
+        push_rows(&mut mix, "        ", waits);
+        mix.push_str("      ],\n      \"top_stripes\": [\n");
+        let stripes = e.top.iter().map(|s| {
+            format!(
+                "{{\"stripe\": {}, \"wait_ns\": {}, \"waits\": {}}}",
                 s.stripe, s.wait_ns, s.waits
-            );
-        }
-        let _ = writeln!(out, "      ]\n    }}{comma}");
-    }
+            )
+        });
+        push_rows(&mut mix, "        ", stripes);
+        mix.push_str("      ]\n    }");
+        mix
+    });
+    push_rows(&mut out, "    ", mixes);
     out.push_str("  },\n");
 
     // The durability comparison: aggregate throughput and backend
@@ -1846,14 +1598,16 @@ fn build_report(
     let _ = writeln!(out, "    \"fsync_us\": {DUR_FSYNC_US},");
     let _ = writeln!(out, "    \"sessions\": {DUR_SESSIONS},");
     out.push_str("    \"points\": [\n");
-    for (i, p) in dur_points.iter().enumerate() {
-        let comma = if i + 1 < dur_points.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "      {{\"mode\": \"{}\", \"ops_per_s\": {:.3}, \"fsyncs\": {}, \"batches\": {}}}{comma}",
-            p.mode, p.ops_per_s, p.fsyncs, p.batches,
-        );
-    }
+    push_rows(
+        &mut out,
+        "      ",
+        dur_points.iter().map(|p| {
+            format!(
+                "{{\"mode\": \"{}\", \"ops_per_s\": {:.3}, \"fsyncs\": {}, \"batches\": {}}}",
+                p.mode, p.ops_per_s, p.fsyncs, p.batches
+            )
+        }),
+    );
     out.push_str("    ],\n");
     let speedup = |mode: &str| {
         dur_points
@@ -1889,19 +1643,21 @@ fn build_report(
         c10k.responsive_at_scale
     );
     out.push_str("    \"curve\": [\n");
-    for (i, p) in c10k.curve.iter().enumerate() {
-        let comma = if i + 1 < c10k.curve.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "      {{\"mode\": \"{}\", \"sessions\": {}, \"ops_per_s\": {:.3}}}{comma}",
-            p.mode, p.sessions, p.ops_per_s,
-        );
-    }
+    push_rows(
+        &mut out,
+        "      ",
+        c10k.curve.iter().map(|p| {
+            format!(
+                "{{\"mode\": \"{}\", \"sessions\": {}, \"ops_per_s\": {:.3}}}",
+                p.mode, p.sessions, p.ops_per_s
+            )
+        }),
+    );
     out.push_str("    ],\n");
     let _ = writeln!(
         out,
         "    \"saturation_ratio\": {:.3},",
-        c10k.saturation_ratio
+        c10k.saturation_ratio()
     );
     let _ = writeln!(
         out,
@@ -1909,39 +1665,24 @@ fn build_report(
     );
     out.push_str("  },\n");
 
-    // The watch plane's measured cost on the standard small-op mix.
+    // Introspection's measured cost (all on vs all off), with the
+    // background work that ran during the measurement so "cheap because
+    // idle" is ruled out, and the Zipf attribution evidence (recall of
+    // true top talkers under bounded cardinality).
     let _ = writeln!(
         out,
-        "  \"watch\": {{\"on_s\": {:.9}, \"off_s\": {:.9}, \"overhead\": {:.6}, \
-         \"budget\": {WATCH_MAX_OVERHEAD}}},",
-        watch.on_s,
-        watch.off_s,
-        watch.overhead(),
+        "  \"introspection\": {{\"on_s\": {:.9}, \"off_s\": {:.9}, \"overhead\": {:.6}, \
+         \"budget\": {INTROSPECTION_MAX_OVERHEAD}, \"scrub_passes\": {}, \"canary_probes\": {}}},",
+        introspection.on_s,
+        introspection.off_s,
+        introspection.overhead(),
+        introspection.scrub_passes,
+        introspection.canary_probes,
     );
-
-    // The health plane's measured cost, with the background work that
-    // ran during the measurement so "cheap because idle" is ruled out.
     let _ = writeln!(
         out,
-        "  \"health\": {{\"on_s\": {:.9}, \"off_s\": {:.9}, \"overhead\": {:.6}, \
-         \"budget\": {HEALTH_MAX_OVERHEAD}, \"scrub_passes\": {}, \"canary_probes\": {}}},",
-        health.on_s,
-        health.off_s,
-        health.overhead(),
-        health.scrub_passes,
-        health.canary_probes,
-    );
-
-    // The metering plane's measured cost plus the Zipf attribution
-    // evidence (recall of true top talkers under bounded cardinality).
-    let _ = writeln!(
-        out,
-        "  \"meter\": {{\"on_s\": {:.9}, \"off_s\": {:.9}, \"overhead\": {:.6}, \
-         \"budget\": {METER_MAX_OVERHEAD}, \"principals\": {}, \"ops\": {}, \
-         \"recalled_top8\": {}, \"tracked\": {}, \"evictions\": {}}},",
-        meter.on_s,
-        meter.off_s,
-        meter.overhead(),
+        "  \"attribution\": {{\"principals\": {}, \"ops\": {}, \"recalled_top8\": {}, \
+         \"tracked\": {}, \"evictions\": {}}},",
         meter_attr.principals,
         meter_attr.ops,
         meter_attr.recalled_top8,

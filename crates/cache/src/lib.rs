@@ -452,6 +452,15 @@ impl<K: Hash + Eq + Clone, V: Clone> ObjectCache<K, V> {
         }
     }
 
+    /// Lifetime (hits, misses): two atomic loads, no shard lock — the
+    /// per-request cost attribution reads these.
+    pub fn hits_misses(&self) -> (u64, u64) {
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+        )
+    }
+
     /// Current counters plus live entry/byte totals.
     pub fn stats(&self) -> CacheStats {
         let mut entries = 0u64;

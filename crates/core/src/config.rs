@@ -32,8 +32,8 @@ pub struct EnclaveConfig {
     pub audit: bool,
     /// The watch plane's stall deadline (µs): requests at least this
     /// slow are copied into the trace ring's slow-request log **and**
-    /// trip the stall watchdog, which captures a correlated flight-
-    /// recorder dump. One knob, one source of truth — the slow log and
+    /// trip the stall watchdog, which captures the introspection
+    /// report. One knob, one source of truth — the slow log and
     /// the watchdog can never disagree about what "slow" means. 0
     /// disables both.
     pub watch_deadline_us: u64,
@@ -57,11 +57,6 @@ pub struct EnclaveConfig {
     /// (`SegShareServer::start_health`); 0 disables the scrubber while
     /// leaving rollups and the canary active.
     pub scrub_interval_us: u64,
-    /// The metering plane (`seg-meter`): per-request cost vectors
-    /// attributed to the requesting principal and touched group/path
-    /// prefix in cardinality-bounded top-K sketches. Operational
-    /// accounting, runtime-togglable via `SegShareServer::set_meter`.
-    pub meter: bool,
     /// Group-commit write batching (the durability plane): each
     /// request's store writes accumulate into one `WriteBatch` sealed
     /// at the dispatch commit point, so a durable backend fsyncs a
@@ -86,7 +81,6 @@ impl Default for EnclaveConfig {
             watch_global_budget_us: 500_000,
             cache: false,
             scrub_interval_us: 1_000_000,
-            meter: true,
             batch: false,
         }
     }
@@ -103,19 +97,13 @@ impl EnclaveConfig {
     #[must_use]
     pub fn minimal() -> EnclaveConfig {
         EnclaveConfig {
-            dedup: false,
             hide_names: false,
             rollback_individual: false,
-            rollback_whole_fs: false,
-            rollback_buckets: 64,
-            max_inherit_depth: 64,
             audit: false,
             watch_deadline_us: 0,
             watch_global_budget_us: 0,
-            cache: false,
             scrub_interval_us: 0,
-            meter: false,
-            batch: false,
+            ..EnclaveConfig::default()
         }
     }
 
@@ -126,18 +114,8 @@ impl EnclaveConfig {
     pub fn full() -> EnclaveConfig {
         EnclaveConfig {
             dedup: true,
-            hide_names: true,
-            rollback_individual: true,
             rollback_whole_fs: true,
-            rollback_buckets: 64,
-            max_inherit_depth: 64,
-            audit: true,
-            watch_deadline_us: 100_000,
-            watch_global_budget_us: 500_000,
-            cache: false,
-            scrub_interval_us: 1_000_000,
-            meter: true,
-            batch: false,
+            ..EnclaveConfig::default()
         }
     }
 
@@ -209,7 +187,6 @@ mod tests {
             watch_deadline_us: 5,
             watch_global_budget_us: 7,
             scrub_interval_us: 42,
-            meter: false,
             ..EnclaveConfig::default()
         };
         assert_eq!(a, tuned.image_bytes());

@@ -438,7 +438,7 @@ impl AuditLog {
     }
 
     /// Cumulative sealed bytes appended (record + head blobs). Read by
-    /// the metering plane to attribute audit I/O per principal.
+    /// the per-request hook to attribute audit I/O per principal.
     #[must_use]
     pub(crate) fn bytes_appended(&self) -> u64 {
         self.bytes_total.get()

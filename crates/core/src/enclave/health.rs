@@ -2,27 +2,26 @@
 //! scrubber, the synthetic canary's bookkeeping, and the
 //! `healthy/degraded/failing` state machine.
 //!
-//! The enclave's other telemetry planes (`seg-obs` metrics, traces,
-//! the watch plane) *observe* the request path; the health plane
-//! *judges* it. A [`seg_obs::HealthMonitor`] rolls request telemetry
-//! into multi-resolution retention and evaluates burn-rate SLO rules;
+//! Metrics, traces, and attribution *observe* the request path; the
+//! health plane *judges* it. A [`seg_obs::HealthMonitor`] rolls the
+//! registry into the enclave's one windowed history and evaluates
+//! burn-rate SLO rules;
 //! the scrubber re-verifies persisted state (audit chain, rollback
 //! tree, cache coherence, store orphans) on a cadence so silent
 //! corruption is found within one pass instead of on the next
 //! unlucky request; and a canary probe exercises the full request
 //! path even when no client is connected. All three fold into one
-//! state machine exported through
-//! [`SegShareEnclave::health_report`] — a declassification point like
-//! `metrics_snapshot`: compiled-in names, aggregate numbers, and
-//! keyed fingerprints only.
+//! state machine exported as the `health` section of
+//! [`SegShareEnclave::introspect`] — compiled-in names, aggregate
+//! numbers, and keyed fingerprints only.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use seg_fs::{DirFile, SegPath, UserId};
-use seg_obs::{HealthConfig, HealthMonitor, SloObjective};
+use seg_obs::{HealthConfig, HealthMonitor};
 
 use crate::config::EnclaveConfig;
 
@@ -68,21 +67,11 @@ impl ScrubCheck {
     /// The compiled-in `check` label value.
     #[must_use]
     pub fn label(self) -> &'static str {
-        match self {
-            ScrubCheck::Audit => "audit",
-            ScrubCheck::Tree => "tree",
-            ScrubCheck::Cache => "cache",
-            ScrubCheck::Orphan => "orphan",
-        }
+        ["audit", "tree", "cache", "orphan"][self.index()]
     }
 
     fn index(self) -> usize {
-        match self {
-            ScrubCheck::Audit => 0,
-            ScrubCheck::Tree => 1,
-            ScrubCheck::Cache => 2,
-            ScrubCheck::Orphan => 3,
-        }
+        self as usize
     }
 }
 
@@ -128,7 +117,6 @@ pub struct ScrubReport {
 /// scrub position sits behind its own mutex, touched only by whoever
 /// drives [`SegShareEnclave::scrub_step`].
 pub struct HealthState {
-    enabled: AtomicBool,
     monitor: HealthMonitor,
     scrub_passes: AtomicU64,
     scrub_last_pass_us: AtomicU64,
@@ -157,30 +145,15 @@ impl HealthState {
     /// "too slow" means — while availability targets 99.9 %.
     #[must_use]
     pub fn new(config: &EnclaveConfig) -> HealthState {
-        let latency_ns = if config.watch_deadline_us > 0 {
-            config.watch_deadline_us.saturating_mul(1_000)
-        } else {
-            100_000_000
-        };
-        let monitor = HealthMonitor::new(HealthConfig {
-            objectives: vec![
-                SloObjective {
-                    name: "availability",
-                    op: None,
-                    target_ppm: 999_000,
-                    latency_threshold_ns: None,
-                },
-                SloObjective {
-                    name: "latency_p95",
-                    op: None,
-                    target_ppm: 950_000,
-                    latency_threshold_ns: Some(latency_ns),
-                },
-            ],
-            ..HealthConfig::default()
-        });
+        let mut health = HealthConfig::default();
+        for objective in &mut health.objectives {
+            if objective.latency_threshold_ns.is_some() && config.watch_deadline_us > 0 {
+                objective.latency_threshold_ns =
+                    Some(config.watch_deadline_us.saturating_mul(1_000));
+            }
+        }
+        let monitor = HealthMonitor::new(health);
         HealthState {
-            enabled: AtomicBool::new(true),
             monitor,
             scrub_passes: AtomicU64::new(0),
             scrub_last_pass_us: AtomicU64::new(0),
@@ -193,18 +166,6 @@ impl HealthState {
             canary_last_latency_us: AtomicU64::new(0),
             progress: Mutex::new(ScrubProgress::default()),
         }
-    }
-
-    /// Whether the health plane is active.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables the health plane (rollup sampling and the
-    /// tick-driven scrubber; an already-running scrub step finishes).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// The SLO monitor (rollups, burn-rate evaluation, alert ring).
@@ -360,18 +321,14 @@ impl SegShareEnclave {
     }
 
     /// One background health tick, driven by the server's health
-    /// runner (and harmless to call from anywhere else): advances the
-    /// flight recorder's window even on an idle server, samples the
-    /// SLO rollups, and — when the scrub cadence elapsed — runs one
-    /// budgeted scrub step. A no-op while the health plane is disabled.
+    /// runner (and harmless to call from anywhere else): samples the
+    /// history even on an idle server (which gets no request-completion
+    /// samples) and — when the scrub cadence elapsed — runs one
+    /// budgeted scrub step. A no-op while introspection is off.
     pub fn health_tick(&self) -> Option<ScrubReport> {
-        if !self.health.enabled() {
+        if !self.introspection_enabled() {
             return None;
         }
-        // An idle server gets no request-completion ticks, so the
-        // flight recorder's windows would silently stop advancing
-        // without this.
-        self.flight.tick_if_due(&self.obs);
         self.health.monitor().sample_if_due(&self.obs);
         let now = self.health.monitor().now_us();
         if self.health.scrub_due(now, self.config.scrub_interval_us) {
@@ -470,16 +427,24 @@ impl SegShareEnclave {
             report.findings += 1;
         };
         match item {
-            ScrubItem::Dir(path) => {
+            ScrubItem::Dir(path) | ScrubItem::File(path) => {
                 let _scope = self
                     .locks
                     .acquire(&[(LockKey::path(path), LockIntent::Read)]);
-                let id = ObjectId::DirData(path.clone());
-                self.store().expected_keys(&id, &mut progress.expected);
-                self.store()
-                    .expected_keys(&ObjectId::Acl(path.clone()), &mut progress.expected);
-                match self.store().scrub_read(&id) {
-                    Ok(Some(body)) => match DirFile::decode(&body) {
+                let fp = || keys.fingerprint("object", path.as_str().as_bytes());
+                let is_dir = matches!(item, ScrubItem::Dir(_));
+                let data = if is_dir {
+                    ObjectId::DirData(path.clone())
+                } else {
+                    ObjectId::FileData(path.clone())
+                };
+                let acl = ObjectId::Acl(path.clone());
+                self.store().expected_keys(&data, &mut progress.expected);
+                self.store().expected_keys(&acl, &mut progress.expected);
+                // Objects are discovered from their parent directory (or
+                // are the root, created at init): absence is loss.
+                match self.store().scrub_read(&data) {
+                    Ok(Some(body)) if is_dir => match DirFile::decode(&body) {
                         Ok(dir) => {
                             for (name, kind) in dir.children() {
                                 if let Ok(child) = dir.child_path(name, kind) {
@@ -490,40 +455,13 @@ impl SegShareEnclave {
                                 }
                             }
                         }
-                        Err(_) => finding(keys.fingerprint("object", path.as_str().as_bytes())),
+                        Err(_) => finding(fp()),
                     },
-                    // Directories are discovered from their parent (or
-                    // are the root, created at init): absence is loss.
-                    Ok(None) | Err(_) => {
-                        finding(keys.fingerprint("object", path.as_str().as_bytes()));
-                    }
+                    Ok(Some(_)) => {}
+                    Ok(None) | Err(_) => finding(fp()),
                 }
-                if !matches!(
-                    self.store().scrub_read(&ObjectId::Acl(path.clone())),
-                    Ok(Some(_))
-                ) {
-                    finding(keys.fingerprint("object", path.as_str().as_bytes()));
-                }
-            }
-            ScrubItem::File(path) => {
-                let _scope = self
-                    .locks
-                    .acquire(&[(LockKey::path(path), LockIntent::Read)]);
-                self.store()
-                    .expected_keys(&ObjectId::FileData(path.clone()), &mut progress.expected);
-                self.store()
-                    .expected_keys(&ObjectId::Acl(path.clone()), &mut progress.expected);
-                if !matches!(
-                    self.store().scrub_read(&ObjectId::FileData(path.clone())),
-                    Ok(Some(_))
-                ) {
-                    finding(keys.fingerprint("object", path.as_str().as_bytes()));
-                }
-                if !matches!(
-                    self.store().scrub_read(&ObjectId::Acl(path.clone())),
-                    Ok(Some(_))
-                ) {
-                    finding(keys.fingerprint("object", path.as_str().as_bytes()));
+                if !matches!(self.store().scrub_read(&acl), Ok(Some(_))) {
+                    finding(fp());
                 }
             }
             ScrubItem::GroupRoot => {
@@ -638,28 +576,20 @@ impl SegShareEnclave {
         report.pass_completed = true;
     }
 
-    /// Assembles the health plane's full report as one JSON document:
-    /// the state machine's verdict, scrubber and canary counters, the
-    /// alert-ring tail, per-objective burn rates, and the multi-
-    /// resolution rollup history. Every section is aggregate numbers
-    /// under compiled-in names (fingerprints only) — the health
-    /// plane's declassification point.
-    #[must_use]
-    pub fn health_report(&self) -> String {
+    /// The `health` section of [`SegShareEnclave::introspect`]: the
+    /// state machine's verdict, scrubber and canary counters, the
+    /// alert-ring tail, and per-objective burn rates.
+    pub(crate) fn health_json(&self) -> String {
         let h = &self.health;
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "\"state\":\"{}\",\"state_code\":{},\"enabled\":{},\n",
+        let mut out = format!(
+            "{{\"state\":\"{}\",\"state_code\":{},\n\"scrub\":{{\"passes\":{},\
+             \"last_pass_us\":{},\"interval_us\":{}",
             h.state_label(),
             h.state_code(),
-            h.enabled(),
-        ));
-        out.push_str(&format!(
-            "\"scrub\":{{\"passes\":{},\"last_pass_us\":{},\"interval_us\":{}",
             h.scrub_passes(),
             h.scrub_last_pass_us(),
             self.config.scrub_interval_us,
-        ));
+        );
         for check in ScrubCheck::ALL {
             out.push_str(&format!(
                 ",\"{}\":{{\"items\":{},\"findings\":{}}}",
@@ -668,33 +598,21 @@ impl SegShareEnclave {
                 h.findings(check),
             ));
         }
-        out.push_str("},\n");
+        let alerts = h.monitor().alerts();
         out.push_str(&format!(
-            "\"canary\":{{\"probes\":{},\"failures\":{},\"consecutive_failures\":{},\
-             \"last_latency_us\":{}}},\n",
+            "}},\n\"canary\":{{\"probes\":{},\"failures\":{},\"consecutive_failures\":{},\
+             \"last_latency_us\":{}}},\n\"alerts\":{{\"total\":{},\"suppressed\":{},\
+             \"active\":{},\"recent\":{}}},\n\"slo\":{}}}",
             h.canary_probes(),
             h.canary_failures(),
             h.canary_consecutive_failures(),
             h.canary_last_latency_us(),
-        ));
-        out.push_str(&format!(
-            "\"net\":{{\"idle_us\":{},\"live_sessions\":{},\"queued_bytes\":{}}},\n",
-            self.watch.net_meter().idle_us(),
-            self.watch.live_sessions(),
-            self.watch.net_meter().queued_bytes(),
-        ));
-        out.push_str(&format!(
-            "\"alerts\":{{\"total\":{},\"suppressed\":{},\"active\":{},\"recent\":{}}},\n",
-            h.monitor().alerts().total(),
-            h.monitor().alerts().suppressed(),
+            alerts.total(),
+            alerts.suppressed(),
             h.monitor().active_alerts(),
-            h.monitor().alerts().to_json(32),
+            alerts.to_json(32),
+            h.monitor().slo_json(),
         ));
-        out.push_str("\"slo\":");
-        out.push_str(&h.monitor().slo_json());
-        out.push_str(",\n\"history\":");
-        out.push_str(&h.monitor().history_json());
-        out.push_str("\n}\n");
         out
     }
 }

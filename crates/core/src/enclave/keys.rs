@@ -21,10 +21,18 @@ pub fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
+/// Fingerprint domains every request uses; their keys are derived once.
+const FINGERPRINT_DOMAINS: [&str; 2] = ["user", "object"];
+
+fn fingerprint_key(root: &[u8; 32], domain: &str) -> [u8; 32] {
+    hkdf::derive_key_256(root, "fingerprint", domain.as_bytes())
+}
+
 /// The derived-key hierarchy rooted at `SK_r`.
 #[derive(Clone)]
 pub struct KeyHierarchy {
     root: [u8; 32],
+    fingerprint_keys: [[u8; 32]; 2],
 }
 
 impl std::fmt::Debug for KeyHierarchy {
@@ -37,7 +45,10 @@ impl KeyHierarchy {
     /// Builds the hierarchy from the unsealed root key.
     #[must_use]
     pub fn new(root: [u8; 32]) -> KeyHierarchy {
-        KeyHierarchy { root }
+        KeyHierarchy {
+            root,
+            fingerprint_keys: FINGERPRINT_DOMAINS.map(|domain| fingerprint_key(&root, domain)),
+        }
     }
 
     /// The raw root key (for sealing and replication transfer).
@@ -127,7 +138,10 @@ impl KeyHierarchy {
     /// cannot reverse them without the enclave-resident key.
     #[must_use]
     pub fn fingerprint(&self, domain: &str, data: &[u8]) -> u64 {
-        let key = hkdf::derive_key_256(&self.root, "fingerprint", domain.as_bytes());
+        let key = match FINGERPRINT_DOMAINS.iter().position(|&d| d == domain) {
+            Some(i) => self.fingerprint_keys[i],
+            None => fingerprint_key(&self.root, domain),
+        };
         let mac = hmac_sha256(&key, data);
         u64::from_le_bytes(mac[..8].try_into().expect("8 bytes"))
     }

@@ -49,7 +49,8 @@
 //! are additionally charged to the phase profiler's simulated-time
 //! channel (leaf `lock_wait`), so flamegraphs attribute contention
 //! without perturbing the wall-clock invariant, and summed per stripe
-//! for the contended-stripe top-K ([`LockManager::contended_stripes`]).
+//! for the contended-stripe top-K ([`LockManager::top_since`] ranks a
+//! window against a [`LockManager::stripe_tally`] baseline).
 //! The recording cost is two clock reads plus a few relaxed atomic adds
 //! per lock — always on, cheap enough for the hot path. Class labels
 //! are compiled-in names (`path`, `group_root`, `group_list`, `member`);
@@ -177,8 +178,8 @@ enum StripeGuard<'a> {
     Write(#[allow(dead_code)] RwLockWriteGuard<'a, ()>),
 }
 
-/// Cumulative wait attributed to one stripe, one row of the
-/// contended-stripe top-K snapshot ([`LockManager::contended_stripes`]).
+/// Wait attributed to one stripe over a window, one row of the
+/// contended-stripe top-K ([`LockManager::top_since`]).
 ///
 /// The stripe index is a hash-table position, not an object identity —
 /// safe to export across the trust boundary.
@@ -186,11 +187,17 @@ enum StripeGuard<'a> {
 pub struct StripeContention {
     /// Stripe index in `0..STRIPES`.
     pub stripe: usize,
-    /// Total nanoseconds scopes spent waiting for this stripe.
+    /// Nanoseconds scopes spent waiting for this stripe.
     pub wait_ns: u64,
     /// Number of acquisitions that touched this stripe.
     pub waits: u64,
 }
+
+/// A copy of every stripe's cumulative (wait ns, acquisitions) tally:
+/// the baseline [`LockManager::top_since`] differences against. The
+/// default (empty) tally is the all-zero baseline.
+#[derive(Debug, Clone, Default)]
+pub struct StripeTally(Vec<(u64, u64)>);
 
 /// Contention telemetry for the lock table. Histograms are interned in
 /// the registry handed to [`LockManager::with_registry`], so they export
@@ -477,21 +484,38 @@ impl LockManager {
         }
     }
 
-    /// The `k` stripes with the most cumulative wait time, descending.
-    /// Stripes that never made anyone wait are omitted, so an idle
-    /// system reports an empty list.
+    /// Copies the per-stripe tallies, as the baseline of a window.
     #[must_use]
-    pub fn contended_stripes(&self, k: usize) -> Vec<StripeContention> {
-        let mut rows: Vec<StripeContention> = (0..STRIPES)
-            .filter_map(|i| {
-                let wait_ns = self.stats.stripe_wait_ns[i].load(Ordering::Relaxed);
-                if wait_ns == 0 {
-                    return None;
-                }
-                Some(StripeContention {
-                    stripe: i,
+    pub fn stripe_tally(&self) -> StripeTally {
+        StripeTally(
+            (0..STRIPES)
+                .map(|i| {
+                    (
+                        self.stats.stripe_wait_ns[i].load(Ordering::Relaxed),
+                        self.stats.stripe_waits[i].load(Ordering::Relaxed),
+                    )
+                })
+                .collect(),
+        )
+    }
+
+    /// The `k` stripes with the most wait time since `base`, descending.
+    /// Stripes that made no one wait in the window are omitted, so an
+    /// idle window reports an empty list.
+    #[must_use]
+    pub fn top_since(&self, base: &StripeTally, k: usize) -> Vec<StripeContention> {
+        let now = self.stripe_tally();
+        let mut rows: Vec<StripeContention> = now
+            .0
+            .iter()
+            .enumerate()
+            .filter_map(|(stripe, &(wait_ns, waits))| {
+                let (base_ns, base_waits) = base.0.get(stripe).copied().unwrap_or_default();
+                let wait_ns = wait_ns.saturating_sub(base_ns);
+                (wait_ns > 0).then(|| StripeContention {
+                    stripe,
                     wait_ns,
-                    waits: self.stats.stripe_waits[i].load(Ordering::Relaxed),
+                    waits: waits.saturating_sub(base_waits),
                 })
             })
             .collect();
@@ -682,7 +706,7 @@ mod tests {
             .expect("pre-interned family");
         assert_eq!(other.count, 0);
         // The stripe top-K surfaces the same contention.
-        let top = mgr.contended_stripes(3);
+        let top = mgr.top_since(&StripeTally::default(), 3);
         assert!(!top.is_empty());
         assert!(top[0].wait_ns >= 20_000_000);
     }
@@ -718,6 +742,39 @@ mod tests {
     }
 
     #[test]
+    fn top_since_ranks_only_the_window() {
+        // Two keys on different stripes: contend on A, take a baseline,
+        // contend on B. The window after the baseline is B alone.
+        let a = LockKey::GroupRoot;
+        let b = (0..)
+            .map(|i| key_path(&format!("/b{i}")))
+            .find(|k| k.stripe() != a.stripe())
+            .unwrap();
+        let mgr = Arc::new(LockManager::new());
+        let contend = |key: LockKey| {
+            let held = mgr.acquire(&[(key.clone(), LockIntent::Write)]);
+            let waiter = {
+                let mgr = Arc::clone(&mgr);
+                std::thread::spawn(move || drop(mgr.acquire(&[(key, LockIntent::Write)])))
+            };
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            drop(held);
+            waiter.join().unwrap();
+        };
+        contend(a.clone());
+        let base = mgr.stripe_tally();
+        contend(b.clone());
+        let window: Vec<usize> = mgr.top_since(&base, 8).iter().map(|r| r.stripe).collect();
+        assert_eq!(window, vec![b.stripe()]);
+        let since_launch: Vec<usize> = mgr
+            .top_since(&StripeTally::default(), 8)
+            .iter()
+            .map(|r| r.stripe)
+            .collect();
+        assert!(since_launch.contains(&a.stripe()) && since_launch.contains(&b.stripe()));
+    }
+
+    #[test]
     fn idle_manager_reports_no_contended_stripes() {
         let mgr = LockManager::new();
         drop(mgr.acquire(&[(key_path("/quick"), LockIntent::Write)]));
@@ -725,6 +782,6 @@ mod tests {
         // reads, so the list may contain the touched stripe — but a
         // truly untouched manager must be empty.
         let fresh = LockManager::new();
-        assert!(fresh.contended_stripes(10).is_empty());
+        assert!(fresh.top_since(&StripeTally::default(), 10).is_empty());
     }
 }

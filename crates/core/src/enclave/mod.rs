@@ -26,7 +26,8 @@ use parking_lot::{Mutex, MutexGuard, RwLock};
 use seg_crypto::ed25519::{PublicKey, SecretKey};
 use seg_crypto::rng::{SecureRandom, SystemRng};
 use seg_crypto::sha256::Sha256;
-use seg_obs::{events_json, CostVector, FlightRecorder, Meter, Registry, TraceEvent, TraceRing};
+use seg_obs::meter::Axis;
+use seg_obs::{Meter, Registry, TraceEvent, TraceRing};
 use seg_pki::{Certificate, Csr, Identity};
 use seg_sgx::{Enclave, EnclaveImage, Platform, Quote};
 use seg_store::{CommitTicket, CountingStore, ObjectStore};
@@ -42,7 +43,7 @@ use keys::KeyHierarchy;
 use locks::LockManager;
 use session::EnclaveSession;
 use trusted_store::TrustedStore;
-use watch::{StallKind, WatchStats};
+use watch::WatchStats;
 
 /// Untrusted-store keys for the enclave's sealed state (sealed blobs are
 /// self-protecting, so these names are not hidden). They carry the
@@ -77,18 +78,16 @@ pub struct SegShareEnclave {
     clock: AtomicU64,
     obs: Arc<Registry>,
     audit: Option<Arc<AuditLog>>,
-    /// Flight recorder: bounded windowed-snapshot history plus SLO
-    /// rollups, ticked opportunistically from request completions.
-    flight: Arc<FlightRecorder>,
-    /// Watch-plane state: saturation gauges, stall counters, and the
-    /// automatic-dump slot (shared with the untrusted serve loop).
+    /// Introspection state: the one switch, saturation gauges, stall
+    /// counters, and the automatic-dump slot (shared with the untrusted
+    /// serve loop).
     watch: Arc<WatchStats>,
-    /// Health-plane state: SLO monitor, integrity-scrubber progress,
-    /// canary counters, and the healthy/degraded/failing verdict.
+    /// Health state: the windowed history and SLO monitor, integrity-
+    /// scrubber progress, canary counters, and the verdict.
     health: Arc<HealthState>,
-    /// Metering plane (`seg-meter`): per-request cost vectors
-    /// attributed to principal/group/prefix fingerprints in
-    /// cardinality-bounded top-K sketches.
+    /// Attribution (`seg-meter`): per-request cost vectors attributed
+    /// to principal/group/prefix/object fingerprints in cardinality-
+    /// bounded top-K sketches.
     meter: Arc<Meter>,
     /// Next request correlation id (shared by every session thread).
     request_ids: AtomicU64,
@@ -109,17 +108,6 @@ pub struct SegShareEnclave {
 
 /// A counting wrapper around one of the untrusted object stores.
 type CountedStore = Arc<CountingStore<Arc<dyn ObjectStore>>>;
-
-/// Dispatch-entry baseline of the global counters the metering plane
-/// differences to assemble one request's cost vector.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MeterProbe {
-    cache_hits: u64,
-    cache_misses: u64,
-    store_reads: u64,
-    store_writes: u64,
-    audit_bytes: u64,
-}
 
 impl std::fmt::Debug for SegShareEnclave {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -308,10 +296,9 @@ impl SegShareEnclave {
             clock: AtomicU64::new(1_000),
             obs,
             audit,
-            flight: Arc::new(FlightRecorder::default()),
             watch: Arc::new(WatchStats::new()),
             health: Arc::new(HealthState::new(&config)),
-            meter: Arc::new(Meter::new(config.meter)),
+            meter: Arc::new(Meter::default()),
             request_ids: AtomicU64::new(0),
             counted_stores: vec![
                 ("content", content_counted),
@@ -511,205 +498,25 @@ impl SegShareEnclave {
         self.obs.trace().map_or_else(Vec::new, |r| r.slow_tail(n))
     }
 
-    // ------------------------------------------------------- watch plane
+    // ----------------------------------------------------- introspection
 
-    /// The watch plane's shared state: saturation gauges and the stall
-    /// watchdog's counters/dump slot. The untrusted serve loop feeds the
-    /// session/in-flight/backlog gauges through this handle — they are
-    /// load numbers, not request content.
+    /// The introspection state: the one switch, saturation gauges, and
+    /// the stall watchdog's counters/dump slot. The untrusted serve
+    /// loop feeds the session/in-flight/backlog gauges through this
+    /// handle — they are load numbers, not request content.
     #[must_use]
     pub fn watch(&self) -> &Arc<WatchStats> {
         &self.watch
     }
 
-    /// The flight recorder (windowed snapshot frames + SLO rollups).
-    #[must_use]
-    pub fn flight(&self) -> &Arc<FlightRecorder> {
-        &self.flight
-    }
-
-    /// Per-request watchdog hook, called by the session layer after a
-    /// request finishes. Feeds the SLO rollups, opportunistically ticks
-    /// the flight recorder, and fires the stall watchdog when the
-    /// request blew the deadline or the exclusive global lock is held
-    /// past its budget. A no-op when the watch plane is disabled.
-    pub(crate) fn watch_request_done(
-        &self,
-        principal: u64,
-        object: u64,
-        ok: bool,
-        elapsed: std::time::Duration,
-    ) {
-        if !self.watch.enabled() {
-            return;
-        }
-        let elapsed_us = elapsed.as_micros().min(u64::MAX as u128) as u64;
-        let deadline = self.config.watch_deadline_us;
-        self.flight
-            .note_request(principal, object, ok, elapsed_us, deadline);
-        self.flight.tick_if_due(&self.obs);
-        // Opportunistic SLO rollup sample: a registry read, no ocalls,
-        // rate-limited inside the monitor to once per interval.
-        if self.health.enabled() {
-            self.health.monitor().sample_if_due(&self.obs);
-        }
-        let stall = if deadline > 0 && elapsed_us >= deadline {
-            Some(StallKind::Request)
-        } else if self.config.watch_global_budget_us > 0
-            && self.locks.global_held_us() >= self.config.watch_global_budget_us
-        {
-            Some(StallKind::GlobalLock)
-        } else {
-            None
-        };
-        if let Some(kind) = stall {
-            if self.watch.note_stall(kind) {
-                let bundle = self.watch_report();
-                self.watch.store_dump(bundle);
-            }
-        }
-    }
-
-    /// Assembles the watch plane's correlated diagnosis bundle as one
-    /// JSON document: saturation gauges, stall counters, the lock
-    /// table's contended-stripe top-K and global-hold clock, the flight
-    /// recorder's frames and SLO rollups, the trace-ring tail, the slow
-    /// log, and the phase profile.
-    ///
-    /// Every section is an existing declassification surface (snapshot
-    /// encodings, trace exports, profile exports); this merely staples
-    /// them together at one instant so a stall can be diagnosed from
-    /// correlated evidence instead of four unsynchronized dumps.
-    #[must_use]
-    pub fn watch_report(&self) -> String {
-        self.flight.force_tick(&self.obs);
-        let mut out = String::from("{\n\"saturation\":{");
-        out.push_str(&format!(
-            "\"live_sessions\":{},\"in_flight\":{},\"accept_backlog\":{},\
-             \"queued_bytes\":{},\"send_stalls\":{},\"send_stall_ns\":{}}},\n",
-            self.watch.live_sessions(),
-            self.watch.in_flight(),
-            self.watch.accept_backlog(),
-            self.watch.net_meter().queued_bytes(),
-            self.watch.net_meter().send_stalls(),
-            self.watch.net_meter().send_stall_ns(),
-        ));
-        out.push_str(&format!(
-            "\"stalls\":{{\"request\":{},\"global_lock\":{},\"dumps\":{}}},\n",
-            self.watch.stalls_request(),
-            self.watch.stalls_global(),
-            self.watch.dumps(),
-        ));
-        out.push_str(&format!(
-            "\"global_held_us\":{},\n\"lock_top\":[",
-            self.locks.global_held_us()
-        ));
-        for (i, row) in self.locks.contended_stripes(8).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"stripe\":{},\"wait_ns\":{},\"waits\":{}}}",
-                row.stripe, row.wait_ns, row.waits
-            ));
-        }
-        out.push_str("],\n\"flight\":");
-        out.push_str(self.flight.dump_json().trim_end());
-        out.push_str(",\n\"trace_tail\":");
-        out.push_str(events_json(&self.trace_tail(64)).trim_end());
-        out.push_str(",\n\"slow_requests\":");
-        out.push_str(events_json(&self.slow_requests(32)).trim_end());
-        out.push_str(",\n\"profile\":");
-        out.push_str(self.profile_snapshot().to_json().trim_end());
-        out.push_str("\n}\n");
-        out
-    }
-
-    // ------------------------------------------------------- meter plane
-
-    /// The metering plane (per-principal/group/prefix cost attribution).
+    /// The attribution sketch (per-principal/group/prefix/object cost
+    /// and SLO attribution).
     #[must_use]
     pub fn meter(&self) -> &Arc<Meter> {
         &self.meter
     }
 
-    /// Reads the global counters the meter differences per request:
-    /// cache hits/misses, store read/write op counts, and sealed audit
-    /// bytes. One cheap atomic-load sweep, no ocalls.
-    fn meter_counters(&self) -> MeterProbe {
-        let cache = self.store.cache_stats();
-        let (mut reads, mut writes) = (0u64, 0u64);
-        for (_, counted) in &self.counted_stores {
-            let s = counted.stats();
-            reads = reads.saturating_add(s.gets + s.exists + s.lists);
-            writes = writes.saturating_add(s.puts + s.deletes + s.renames);
-        }
-        MeterProbe {
-            cache_hits: cache.as_ref().map_or(0, |c| c.hits),
-            cache_misses: cache.as_ref().map_or(0, |c| c.misses),
-            store_reads: reads,
-            store_writes: writes,
-            audit_bytes: self.audit.as_ref().map_or(0, |log| log.bytes_appended()),
-        }
-    }
-
-    /// Captures the dispatch-entry baseline for one request's cost
-    /// vector. `None` when metering is disabled — the request then pays
-    /// exactly one relaxed atomic load.
-    pub(crate) fn meter_begin(&self) -> Option<MeterProbe> {
-        if !self.meter.enabled() {
-            return None;
-        }
-        Some(self.meter_counters())
-    }
-
-    /// Closes one request's cost vector and attributes it: global
-    /// counters are differenced against the dispatch-entry baseline,
-    /// crypto and lock-wait time read back from the profiler's
-    /// per-request accumulator (no second instrumentation pass), and
-    /// the result is recorded against the principal, touched group, and
-    /// touched path-prefix fingerprints.
-    ///
-    /// Counter deltas are per-thread reads of global counters, so
-    /// concurrent requests can shift a few units of cache/store/audit
-    /// activity between each other; totals stay conserved, and the
-    /// sketches only need ranks, not exact per-key I/O.
-    pub(crate) fn meter_finish(
-        &self,
-        probe: MeterProbe,
-        principal: u64,
-        group: u64,
-        prefix: u64,
-        req_bytes: u64,
-        resp_bytes: u64,
-    ) {
-        let now = self.meter_counters();
-        let (crypto_ns, _) = seg_obs::prof::request_phase_totals("crypto_gcm");
-        let (_, lock_wait_ns) = seg_obs::prof::request_phase_totals("lock_wait");
-        let cost = CostVector {
-            ops: 1,
-            req_bytes,
-            resp_bytes,
-            crypto_ns,
-            lock_wait_ns,
-            cache_hits: now.cache_hits.saturating_sub(probe.cache_hits),
-            cache_misses: now.cache_misses.saturating_sub(probe.cache_misses),
-            store_reads: now.store_reads.saturating_sub(probe.store_reads),
-            store_writes: now.store_writes.saturating_sub(probe.store_writes),
-            audit_bytes: now.audit_bytes.saturating_sub(probe.audit_bytes),
-        };
-        self.meter.record(principal, group, prefix, &cost);
-    }
-
-    /// The metering plane's JSON report: top-K talkers, heaviest
-    /// groups, and hottest path prefixes per cost dimension, plus the
-    /// fairness summary. A declassification point of the same kind as
-    /// [`SegShareEnclave::watch_report`] — keys are keyed fingerprints,
-    /// values are aggregates.
-    #[must_use]
-    pub fn meter_report(&self) -> String {
-        self.meter.report_json()
-    }
+    // ------------------------------------------------------------ audit
 
     /// The audit log, when `EnclaveConfig::audit` is enabled.
     #[must_use]
@@ -921,82 +728,46 @@ impl SegShareEnclave {
                     total,
                 );
             }
-            sync(
-                "seg_store_bytes_read_total",
-                vec![("store", store)],
-                s.bytes_read,
-            );
-            sync(
-                "seg_store_bytes_written_total",
-                vec![("store", store)],
-                s.bytes_written,
-            );
-            // Durability plane. Always exported (zero on in-memory
-            // backends) so the family is stable across store choices.
-            // Views sharing one WAL backend each report the shared
-            // log's totals.
-            sync("seg_store_batches_total", vec![("store", store)], s.batches);
-            sync(
-                "seg_store_batch_ops_total",
-                vec![("store", store)],
-                s.batch_ops,
-            );
+            // The durability families always export (zero on in-memory
+            // backends) so they are stable across store choices. Views
+            // sharing one WAL backend each report the shared log's
+            // totals.
             let io = counted.io_stats();
-            sync("seg_store_fsyncs_total", vec![("store", store)], io.fsyncs);
-            sync(
-                "seg_store_fsync_bytes_total",
-                vec![("store", store)],
-                io.fsync_bytes,
-            );
+            for (name, total) in [
+                ("seg_store_bytes_read_total", s.bytes_read),
+                ("seg_store_bytes_written_total", s.bytes_written),
+                ("seg_store_batches_total", s.batches),
+                ("seg_store_batch_ops_total", s.batch_ops),
+                ("seg_store_fsyncs_total", io.fsyncs),
+                ("seg_store_fsync_bytes_total", io.fsync_bytes),
+            ] {
+                sync(name, vec![("store", store)], total);
+            }
         }
 
         // Object-cache *counters* exist only when the cache is enabled,
         // keeping cache-off snapshots identical to pre-cache builds.
         let cache = self.store.cache_stats();
         if let Some(c) = &cache {
-            sync("seg_cache_hits_total", vec![], c.hits);
-            sync("seg_cache_misses_total", vec![], c.misses);
-            sync("seg_cache_fills_total", vec![], c.fills);
-            sync("seg_cache_stale_fills_total", vec![], c.stale_fills);
-            sync("seg_cache_evictions_total", vec![], c.evictions);
-            sync("seg_cache_invalidations_total", vec![], c.invalidations);
+            for (name, total) in [
+                ("seg_cache_hits_total", c.hits),
+                ("seg_cache_misses_total", c.misses),
+                ("seg_cache_fills_total", c.fills),
+                ("seg_cache_stale_fills_total", c.stale_fills),
+                ("seg_cache_evictions_total", c.evictions),
+                ("seg_cache_invalidations_total", c.invalidations),
+            ] {
+                sync(name, vec![], total);
+            }
         }
-        // Gauge families, by contrast, always export: a disabled or
-        // idle subsystem reads 0 rather than its series disappearing
-        // between snapshots (dashboards need stable families).
-        self.obs
-            .gauge("seg_cache_entries")
-            .set(cache.as_ref().map_or(0, |c| c.entries));
-        self.obs
-            .gauge("seg_cache_bytes")
-            .set(cache.as_ref().map_or(0, |c| c.bytes));
 
-        // Watch plane: lock, net, and session saturation families.
-        self.obs
-            .gauge("seg_lock_global_held_us")
-            .set(self.locks.global_held_us());
-        self.obs
-            .gauge("seg_net_live_sessions")
-            .set(self.watch.live_sessions());
-        self.obs
-            .gauge("seg_net_inflight_requests")
-            .set(self.watch.in_flight());
-        self.obs
-            .gauge("seg_net_accept_backlog")
-            .set(self.watch.accept_backlog());
-        let net = self.watch.net_meter();
-        self.obs
-            .gauge("seg_net_queued_bytes")
-            .set(net.queued_bytes());
-        sync("seg_net_send_stalls_total", vec![], net.send_stalls());
-        sync("seg_net_send_stall_ns_total", vec![], net.send_stall_ns());
-        sync("seg_net_sheds_total", vec![], self.watch.sheds());
         // Reactor front end: per-state connection gauges plus lifecycle
         // counters. Exported whenever a reactor has ever started (the
         // stable-family rule: 0 beats a disappearing series) — under
         // the threaded front end the family is absent entirely, which
         // is itself the "which front end?" signal.
-        if let Some(reactor) = self.watch.reactor_stats() {
+        let w = &self.watch;
+        if let Some(reactor) = w.reactor_stats() {
             for state in seg_net::reactor::ConnState::ALL {
                 if state == seg_net::reactor::ConnState::Closed {
                     continue; // terminal: the gauge is definitionally 0
@@ -1011,126 +782,103 @@ impl SegShareEnclave {
             self.obs
                 .gauge("seg_net_outq_bytes")
                 .set(reactor.outq_bytes());
-            sync(
-                "seg_net_conns_accepted_total",
-                vec![],
-                reactor.accepted_total(),
-            );
-            sync(
-                "seg_net_conns_reaped_idle_total",
-                vec![],
-                reactor.reaped_idle_total(),
-            );
-            sync("seg_net_conns_closed_total", vec![], reactor.closed_total());
-            sync(
-                "seg_net_protocol_errors_total",
-                vec![],
-                reactor.protocol_errors_total(),
-            );
+            for (name, total) in [
+                ("seg_net_conns_accepted_total", reactor.accepted_total()),
+                (
+                    "seg_net_conns_reaped_idle_total",
+                    reactor.reaped_idle_total(),
+                ),
+                ("seg_net_conns_closed_total", reactor.closed_total()),
+                (
+                    "seg_net_protocol_errors_total",
+                    reactor.protocol_errors_total(),
+                ),
+            ] {
+                sync(name, vec![], total);
+            }
         }
-        sync(
-            "seg_watch_stalls_total",
-            vec![("kind", "request")],
-            self.watch.stalls_request(),
-        );
-        sync(
-            "seg_watch_stalls_total",
-            vec![("kind", "global_lock")],
-            self.watch.stalls_global(),
-        );
-        sync("seg_watch_dumps_total", vec![], self.watch.dumps());
-        sync(
-            "seg_flight_frames_total",
-            vec![],
-            self.flight.frames_total(),
-        );
-        self.obs
-            .gauge("seg_watch_enabled")
-            .set(u64::from(self.watch.enabled()));
 
-        // Health plane: SLO sampling, scrubber, and canary families —
-        // always exported, an idle health plane reads 0.
+        // Gauge families, by contrast, always export: a disabled or
+        // idle subsystem reads 0 rather than its series disappearing
+        // between snapshots (dashboards need stable families). So do
+        // the introspection families — lock, net, and session
+        // saturation, the history sampler, scrubber, canary, SLO
+        // alerts, and attribution.
+        let net = w.net_meter();
         let health = &self.health;
-        sync(
-            "seg_health_samples_total",
-            vec![],
-            health.monitor().samples(),
-        );
-        sync(
-            "seg_health_canary_probes_total",
-            vec![],
-            health.canary_probes(),
-        );
-        sync(
-            "seg_health_canary_failures_total",
-            vec![],
-            health.canary_failures(),
-        );
-        sync(
-            "seg_slo_alerts_total",
-            vec![],
-            health.monitor().alerts().total(),
-        );
-        sync(
-            "seg_slo_alerts_suppressed_total",
-            vec![],
-            health.monitor().alerts().suppressed(),
-        );
-        sync("seg_scrub_passes_total", vec![], health.scrub_passes());
-        for check in health::ScrubCheck::ALL {
-            sync(
-                "seg_scrub_items_total",
-                vec![("check", check.label())],
-                health.items(check),
-            );
-            sync(
-                "seg_scrub_findings_total",
-                vec![("check", check.label())],
-                health.findings(check),
-            );
-        }
-        self.obs.gauge("seg_health_state").set(health.state_code());
-        self.obs
-            .gauge("seg_health_enabled")
-            .set(u64::from(health.enabled()));
-        self.obs
-            .gauge("seg_slo_alerts_active")
-            .set(health.monitor().active_alerts());
-        self.obs
-            .gauge("seg_health_rollup_slots")
-            .set(health.monitor().rollup_slots());
-        self.obs
-            .gauge("seg_health_canary_latency_us")
-            .set(health.canary_last_latency_us());
-
-        // Meter plane: sketch occupancy and overflow families — always
-        // exported, a disabled meter reads 0 (stable dashboards).
-        self.obs
-            .gauge("seg_meter_enabled")
-            .set(u64::from(self.meter.enabled()));
-        sync("seg_meter_samples_total", vec![], self.meter.samples());
-        let meter_stats = self.meter.stats();
-        for (axis, s) in [
-            ("principal", meter_stats.principals),
-            ("group", meter_stats.groups),
-            ("prefix", meter_stats.prefixes),
+        let monitor = health.monitor();
+        for (name, value) in [
+            ("seg_cache_entries", cache.as_ref().map_or(0, |c| c.entries)),
+            ("seg_cache_bytes", cache.as_ref().map_or(0, |c| c.bytes)),
+            ("seg_lock_global_held_us", self.locks.global_held_us()),
+            ("seg_net_live_sessions", w.live_sessions()),
+            ("seg_net_inflight_requests", w.in_flight()),
+            ("seg_net_accept_backlog", w.accept_backlog()),
+            ("seg_net_queued_bytes", net.queued_bytes()),
+            ("seg_introspection_enabled", u64::from(w.enabled())),
+            ("seg_health_state", health.state_code()),
+            ("seg_slo_alerts_active", monitor.active_alerts()),
+            ("seg_health_rollup_slots", monitor.rollup_slots()),
+            (
+                "seg_health_canary_latency_us",
+                health.canary_last_latency_us(),
+            ),
         ] {
+            self.obs.gauge(name).set(value);
+        }
+        for (name, labels, total) in [
+            ("seg_net_send_stalls_total", vec![], net.send_stalls()),
+            ("seg_net_send_stall_ns_total", vec![], net.send_stall_ns()),
+            ("seg_net_sheds_total", vec![], w.sheds()),
+            (
+                "seg_watch_stalls_total",
+                vec![("kind", "request")],
+                w.stalls_request(),
+            ),
+            (
+                "seg_watch_stalls_total",
+                vec![("kind", "global_lock")],
+                w.stalls_global(),
+            ),
+            ("seg_watch_dumps_total", vec![], w.dumps()),
+            ("seg_health_samples_total", vec![], monitor.samples()),
+            (
+                "seg_health_canary_probes_total",
+                vec![],
+                health.canary_probes(),
+            ),
+            (
+                "seg_health_canary_failures_total",
+                vec![],
+                health.canary_failures(),
+            ),
+            ("seg_slo_alerts_total", vec![], monitor.alerts().total()),
+            (
+                "seg_slo_alerts_suppressed_total",
+                vec![],
+                monitor.alerts().suppressed(),
+            ),
+            ("seg_scrub_passes_total", vec![], health.scrub_passes()),
+            ("seg_meter_samples_total", vec![], self.meter.samples()),
+        ] {
+            sync(name, labels, total);
+        }
+        for check in health::ScrubCheck::ALL {
+            let labels = || vec![("check", check.label())];
+            sync("seg_scrub_items_total", labels(), health.items(check));
+            sync("seg_scrub_findings_total", labels(), health.findings(check));
+        }
+        for axis in Axis::ALL {
+            let s = self.meter.stats(axis);
+            let labels = || vec![("axis", axis.label())];
             self.obs
-                .gauge_with("seg_meter_tracked", vec![("axis", axis)])
+                .gauge_with("seg_meter_tracked", labels())
                 .set(s.tracked);
             self.obs
-                .gauge_with("seg_meter_min_tracked_ops", vec![("axis", axis)])
+                .gauge_with("seg_meter_min_tracked_ops", labels())
                 .set(s.min_est);
-            sync(
-                "seg_meter_evictions_total",
-                vec![("axis", axis)],
-                s.evictions,
-            );
-            sync(
-                "seg_meter_overflow_ops_total",
-                vec![("axis", axis)],
-                s.overflow_ops,
-            );
+            sync("seg_meter_evictions_total", labels(), s.evictions);
+            sync("seg_meter_overflow_ops_total", labels(), s.overflow_ops);
         }
 
         self.obs.snapshot()

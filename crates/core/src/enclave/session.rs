@@ -271,16 +271,15 @@ impl EnclaveSession {
         // The span label is the compiled-in operation name — never the
         // request's operands (seg-obs trust-boundary rule); operands are
         // carried only as keyed fingerprints.
-        let started = std::time::Instant::now();
+        let probe = enclave.request_probe();
         let request_id = enclave.next_request_id();
         let principal = enclave.fingerprint_user(user);
         let object = request_object(&request).map_or(0, |name| enclave.fingerprint_name(name));
-        // Meter operands resolve before the request is consumed: the
-        // touched group and the top-level path component, each reduced
-        // to the same keyed fingerprints the span carries (0 = the
-        // request touches no operand of that kind). Skipped entirely —
-        // including the HMACs — while metering is off.
-        let probe = enclave.meter_begin();
+        // Attribution operands resolve before the request is consumed:
+        // the touched group and the top-level path component, each
+        // reduced to the same keyed fingerprints the span carries (0 =
+        // the request touches no operand of that kind). Skipped
+        // entirely — including the HMACs — while introspection is off.
         let (group, prefix) = if probe.is_some() {
             (
                 request_group(&request).map_or(0, |g| enclave.fingerprint_name(g)),
@@ -292,23 +291,20 @@ impl EnclaveSession {
         };
         let result =
             self.handle_request_inner(enclave, user, request, request_id, principal, object);
-        // The watch plane sees every request outcome: SLO rollups keyed
-        // by the same fingerprints the span carries, plus the stall
-        // watchdog's deadline check over the full dispatch time.
-        let ok = matches!(
-            &result,
-            Ok(responses) if !responses.iter().any(|r| matches!(r, Response::Error { .. }))
-        );
-        enclave.watch_request_done(principal, object, ok, started.elapsed());
         if let Some(probe) = probe {
+            let ok = matches!(
+                &result,
+                Ok(responses) if !responses.iter().any(|r| matches!(r, Response::Error { .. }))
+            );
             let resp_bytes = result.as_deref().map_or(0, response_bytes);
-            enclave.meter_finish(probe, principal, group, prefix, wire_len, resp_bytes);
+            let keys = [principal, group, prefix, object];
+            enclave.request_done(probe, keys, ok, wire_len, resp_bytes);
         }
         result
     }
 
-    /// The top-level path component a request touches (the metering
-    /// plane's prefix axis), e.g. `"/docs"` for `/docs/a/b.txt`. `Data`
+    /// The top-level path component a request touches (the attribution
+    /// sketch's prefix axis), e.g. `"/docs"` for `/docs/a/b.txt`. `Data`
     /// chunks attribute to the active upload's target.
     fn request_prefix(&self, request: &Request) -> Option<String> {
         match request {
@@ -1071,8 +1067,8 @@ fn request_path(request: &Request) -> Option<&str> {
     }
 }
 
-/// The group operand a request touches, if any — the metering plane's
-/// per-group attribution axis. Group-membership operations name the
+/// The group operand a request touches, if any — the attribution
+/// sketch's per-group axis. Group-membership operations name the
 /// target group; ACL operations name the group being granted/revoked.
 fn request_group(request: &Request) -> Option<&str> {
     match request {

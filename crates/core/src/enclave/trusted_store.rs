@@ -296,6 +296,12 @@ impl TrustedStore {
         self.cache.as_ref().map(MetaCache::stats)
     }
 
+    /// Lifetime cache (hits, misses) without taking shard locks; zero
+    /// when the cache is disabled.
+    pub(crate) fn cache_hits_misses(&self) -> (u64, u64) {
+        self.cache.as_ref().map_or((0, 0), MetaCache::hits_misses)
+    }
+
     /// Looks `key` up in the cache, recording the hit-path latency.
     fn cache_lookup(&self, key: &CacheKey) -> Option<CachedValue> {
         let cache = self.cache.as_ref()?;

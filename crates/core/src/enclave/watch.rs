@@ -1,32 +1,39 @@
-//! seg-watch: saturation accounting and the stall watchdog.
+//! The introspection substrate's enclave glue: saturation accounting,
+//! the one introspection switch, the per-request hook, the stall
+//! watchdog, and the one [`SegShareEnclave::introspect`] report.
 //!
-//! The watch plane is the always-on contention/saturation layer: lock
-//! telemetry lives in [`locks`](super::locks), windowed history in the
-//! flight recorder ([`seg_obs::FlightRecorder`]), and this module holds
-//! the glue state — live-session / in-flight / accept-backlog gauges
-//! fed by the untrusted host, the shared [`seg_net::NetMeter`], stall
-//! counters, and the rate-limited automatic dump slot the watchdog
-//! writes its correlated bundle into.
+//! Each job has one owner: lock telemetry lives in
+//! [`locks`](super::locks), windowed history in the health monitor
+//! ([`seg_obs::HealthMonitor`]), bounded per-key attribution in the
+//! meter ([`seg_obs::Meter`]), and this module holds the glue state —
+//! live-session / in-flight / accept-backlog gauges fed by the
+//! untrusted host, the shared [`seg_net::NetMeter`], stall counters,
+//! and the rate-limited automatic dump slot the watchdog writes its
+//! report into.
 //!
 //! Everything here is aggregate numbers or already-declassified JSON
-//! (the dump is assembled from snapshot/trace/profile exports, each of
-//! which is itself a sanctioned declassification point); no request
-//! content enters this module.
+//! (the report is assembled from snapshot/trace/profile/meter exports,
+//! each of which is itself a sanctioned declassification point); no
+//! request content enters this module.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use seg_net::NetMeter;
+use seg_obs::{events_json, CostVector};
+
+use super::locks::StripeTally;
+use super::SegShareEnclave;
 
 /// Minimum microseconds between two automatic watchdog dumps. A
 /// pathological workload where every request stalls must not turn the
 /// request path into a dump generator.
 const DUMP_MIN_INTERVAL_US: u64 = 1_000_000;
 
-/// Shared mutable state of the watch plane. One instance per enclave,
-/// shared with the untrusted connection loop (which feeds the
-/// saturation gauges — they are load numbers, not secrets).
+/// Shared mutable state of the introspection substrate. One instance
+/// per enclave, shared with the untrusted connection loop (which feeds
+/// the saturation gauges — they are load numbers, not secrets).
 #[derive(Debug)]
 pub struct WatchStats {
     enabled: AtomicBool,
@@ -53,8 +60,8 @@ impl Default for WatchStats {
 }
 
 impl WatchStats {
-    /// Creates watch state with the plane enabled (it is always-on by
-    /// default; [`WatchStats::set_enabled`] exists so benchmarks can
+    /// Creates watch state with introspection enabled (it is always-on
+    /// by default; [`WatchStats::set_enabled`] exists so benchmarks can
     /// measure its cost).
     #[must_use]
     pub fn new() -> WatchStats {
@@ -75,15 +82,17 @@ impl WatchStats {
         }
     }
 
-    /// Whether the watch plane (flight ticks + watchdog checks) runs.
+    /// The one introspection switch: whether the per-request hook
+    /// (attribution, history sampling, watchdog) and the background
+    /// sampler, scrubber, and canary run.
     #[must_use]
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Enables or disables the watch plane. Lock and net accounting
-    /// stay on either way — they are passive counters; this only gates
-    /// the per-request watchdog/flight work.
+    /// Flips the introspection switch. Lock and net accounting stay on
+    /// either way — they are passive counters; accumulated history and
+    /// attribution survive a disable.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -193,7 +202,7 @@ impl WatchStats {
             .is_ok()
     }
 
-    /// Stores the watchdog's correlated bundle (latest wins).
+    /// Stores the watchdog's report (latest wins).
     pub fn store_dump(&self, bundle: String) {
         self.dumps.fetch_add(1, Ordering::Relaxed);
         *self.last_dump.lock().unwrap() = Some(bundle);
@@ -231,6 +240,184 @@ pub enum StallKind {
     Request,
     /// The exclusive global lock was held past its budget.
     GlobalLock,
+}
+
+/// Dispatch-entry baseline of the global counters the per-request hook
+/// differences to assemble one request's cost vector.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RequestProbe {
+    started: Instant,
+    cache_hits: u64,
+    cache_misses: u64,
+    store_reads: u64,
+    store_writes: u64,
+    audit_bytes: u64,
+}
+
+impl SegShareEnclave {
+    /// Whether the introspection switch is on.
+    #[must_use]
+    pub fn introspection_enabled(&self) -> bool {
+        self.watch.enabled()
+    }
+
+    /// Flips the one introspection switch (see [`WatchStats::enabled`]).
+    pub fn set_introspection(&self, on: bool) {
+        self.watch.set_enabled(on);
+    }
+
+    /// Captures the dispatch-entry baseline for one request. `None`
+    /// when introspection is off — the request then pays exactly one
+    /// relaxed atomic load.
+    pub(crate) fn request_probe(&self) -> Option<RequestProbe> {
+        self.watch
+            .enabled()
+            .then(|| self.request_counters(Instant::now()))
+    }
+
+    /// Reads the global counters the hook differences per request:
+    /// cache hits/misses, store read/write op counts, and sealed audit
+    /// bytes. One cheap atomic-load sweep, no ocalls.
+    fn request_counters(&self, started: Instant) -> RequestProbe {
+        let (cache_hits, cache_misses) = self.store.cache_hits_misses();
+        let (mut reads, mut writes) = (0u64, 0u64);
+        for (_, counted) in &self.counted_stores {
+            let s = counted.stats();
+            reads = reads.saturating_add(s.gets + s.exists + s.lists);
+            writes = writes.saturating_add(s.puts + s.deletes + s.renames);
+        }
+        RequestProbe {
+            started,
+            cache_hits,
+            cache_misses,
+            store_reads: reads,
+            store_writes: writes,
+            audit_bytes: self.audit.as_ref().map_or(0, |log| log.bytes_appended()),
+        }
+    }
+
+    /// The per-request hook, called by the session layer after a
+    /// request finishes with its keyed fingerprints (in
+    /// [`seg_obs::meter::Axis::ALL`] order, 0 = no operand of that
+    /// kind), outcome, and payload sizes. Closes the request's cost
+    /// vector — counters differenced against the probe, crypto and
+    /// lock-wait time read back from the profiler's per-request
+    /// accumulator, outcome and latency — and attributes it to every
+    /// axis of the meter (one lock). Then opportunistically samples the
+    /// history and fires the stall watchdog when the request blew the
+    /// deadline or the exclusive global lock is held past its budget.
+    ///
+    /// Counter deltas are per-thread reads of global counters, so
+    /// concurrent requests can shift a few units of cache/store/audit
+    /// activity between each other; totals stay conserved, and the
+    /// sketches only need ranks, not exact per-key I/O.
+    pub(crate) fn request_done(
+        &self,
+        probe: RequestProbe,
+        keys: [u64; 4],
+        ok: bool,
+        req_bytes: u64,
+        resp_bytes: u64,
+    ) {
+        let elapsed_us = probe.started.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        let deadline = self.config.watch_deadline_us;
+        let slow = deadline > 0 && elapsed_us >= deadline;
+        let now = self.request_counters(probe.started);
+        let (crypto_ns, _) = seg_obs::prof::request_phase_totals("crypto_gcm");
+        let (_, lock_wait_ns) = seg_obs::prof::request_phase_totals("lock_wait");
+        let cost = CostVector {
+            ops: 1,
+            req_bytes,
+            resp_bytes,
+            crypto_ns,
+            lock_wait_ns,
+            cache_hits: now.cache_hits.saturating_sub(probe.cache_hits),
+            cache_misses: now.cache_misses.saturating_sub(probe.cache_misses),
+            store_reads: now.store_reads.saturating_sub(probe.store_reads),
+            store_writes: now.store_writes.saturating_sub(probe.store_writes),
+            audit_bytes: now.audit_bytes.saturating_sub(probe.audit_bytes),
+            errors: u64::from(!ok),
+            slow: u64::from(slow),
+            latency_us: elapsed_us,
+            latency_max_us: elapsed_us,
+        };
+        self.meter.record(keys, &cost);
+        // Opportunistic history sample: a registry read, no ocalls,
+        // rate-limited inside the monitor to once per interval.
+        self.health.monitor().sample_if_due(&self.obs);
+        let stall = if slow {
+            Some(StallKind::Request)
+        } else if self.config.watch_global_budget_us > 0
+            && self.locks.global_held_us() >= self.config.watch_global_budget_us
+        {
+            Some(StallKind::GlobalLock)
+        } else {
+            None
+        };
+        if stall.is_some_and(|kind| self.watch.note_stall(kind)) {
+            self.watch.store_dump(self.introspect());
+        }
+    }
+
+    /// The one introspection report, as a JSON document with sections
+    /// `saturation`, `stalls`, `locks` (global-hold clock and the
+    /// most contended stripes), `history` (retention headlines, the
+    /// newest 16 closed 1 s slots, and the still-open window),
+    /// `attribution` (the meter's per-axis top-K), `health` (verdict,
+    /// scrubber, canary, alerts, burn rates), `trace_tail`,
+    /// `slow_requests`, and `profile`. The stall watchdog stores this
+    /// same document.
+    ///
+    /// Every section is an existing declassification surface (snapshot
+    /// encodings, trace exports, profile and meter exports): compiled-in
+    /// names, aggregate numbers, and keyed fingerprints only.
+    #[must_use]
+    pub fn introspect(&self) -> String {
+        let w = &self.watch;
+        let net = w.net_meter();
+        let monitor = self.health.monitor();
+        let stripes: Vec<String> = self
+            .locks
+            .top_since(&StripeTally::default(), 8)
+            .iter()
+            .map(|r| {
+                format!(
+                    "{{\"stripe\":{},\"wait_ns\":{},\"waits\":{}}}",
+                    r.stripe, r.wait_ns, r.waits
+                )
+            })
+            .collect();
+        let history = monitor.history_json();
+        format!(
+            "{{\n\"enabled\":{},\n\"saturation\":{{\"live_sessions\":{},\"in_flight\":{},\
+             \"accept_backlog\":{},\"queued_bytes\":{},\"send_stalls\":{},\"send_stall_ns\":{},\
+             \"idle_us\":{}}},\n\"stalls\":{{\"request\":{},\"global_lock\":{},\"dumps\":{}}},\n\
+             \"locks\":{{\"global_held_us\":{},\"top_stripes\":[{}]}},\n\
+             \"history\":{},\"recent\":{},\"open\":{}}},\n\"attribution\":{},\n\
+             \"health\":{},\n\"trace_tail\":{},\n\"slow_requests\":{},\n\"profile\":{}\n}}\n",
+            w.enabled(),
+            w.live_sessions(),
+            w.in_flight(),
+            w.accept_backlog(),
+            net.queued_bytes(),
+            net.send_stalls(),
+            net.send_stall_ns(),
+            net.idle_us(),
+            w.stalls_request(),
+            w.stalls_global(),
+            w.dumps(),
+            self.locks.global_held_us(),
+            stripes.join(","),
+            history.strip_suffix('}').unwrap_or(&history),
+            monitor.recent_slots_json(16),
+            monitor.open_window_json(&self.obs),
+            self.meter.report_json().trim_end(),
+            self.health_json(),
+            events_json(&self.trace_tail(64)).trim_end(),
+            events_json(&self.slow_requests(32)).trim_end(),
+            self.profile_snapshot().to_json().trim_end(),
+        )
+    }
 }
 
 #[cfg(test)]

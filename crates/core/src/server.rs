@@ -423,77 +423,32 @@ impl SegShareServer {
         self.enclave.metrics_snapshot()
     }
 
-    /// The per-(operation, phase-path) wall-clock profile — which layer
-    /// (TLS, authorization, GCM, Protected FS, rollback tree, store
-    /// I/O) each request spent its time in. A declassification point
-    /// like [`metrics_snapshot`](Self::metrics_snapshot): phase paths
-    /// are compiled-in names, values are aggregate times (see
-    /// [`SegShareEnclave::profile_snapshot`]).
-    #[must_use]
-    pub fn profile_snapshot(&self) -> seg_obs::ProfSnapshot {
-        self.enclave.profile_snapshot()
-    }
-
-    /// Copies out up to `n` of the newest structured trace events,
-    /// oldest first — the trace ring's declassification point. Events
-    /// carry compiled-in operation/code labels and keyed fingerprints;
-    /// paths and user ids never appear (see
-    /// [`SegShareEnclave::trace_tail`]).
-    #[must_use]
-    pub fn trace_tail(&self, n: usize) -> Vec<seg_obs::TraceEvent> {
-        self.enclave.trace_tail(n)
-    }
-
-    /// Copies out up to `n` of the newest slow-request events (latency
-    /// at or above [`EnclaveConfig::watch_deadline_us`]), oldest first.
-    #[must_use]
-    pub fn slow_requests(&self, n: usize) -> Vec<seg_obs::TraceEvent> {
-        self.enclave.slow_requests(n)
-    }
-
-    /// The watch plane's correlated report: saturation gauges, stall
-    /// counters, global-lock hold time, the top contended lock stripes,
-    /// the flight recorder's frame ring with SLO rollups, the trace
-    /// ring's tail and slow log, and the current profile — everything
-    /// needed to attribute a contention or saturation incident, as one
-    /// JSON document. The same bundle the stall watchdog captures
-    /// automatically (see [`SegShareServer::watch_dump`]).
+    /// The one introspection report — saturation, stalls, lock
+    /// contention, windowed history, per-key attribution, health
+    /// verdict, trace tail, slow log, and profile — as one JSON document
+    /// (see [`SegShareEnclave::introspect`]). The same document the
+    /// stall watchdog captures automatically (see
+    /// [`WatchStats::last_dump`](crate::enclave::watch::WatchStats::last_dump)).
     ///
     /// Assembled exclusively from sanctioned declassification points;
     /// carries aggregate numbers and keyed fingerprints only.
     #[must_use]
-    pub fn watch_report(&self) -> String {
-        self.enclave.watch_report()
+    pub fn introspect(&self) -> String {
+        self.enclave.introspect()
     }
 
-    /// The most recent automatic dump captured by the stall watchdog
-    /// (`None` until a request exceeds [`EnclaveConfig::watch_deadline_us`]
-    /// or the global lock is held past
-    /// [`EnclaveConfig::watch_global_budget_us`]).
-    #[must_use]
-    pub fn watch_dump(&self) -> Option<String> {
-        self.enclave.watch().last_dump()
+    /// Turns introspection on or off — the one switch. Off means no
+    /// per-request work (attribution, history sampling, watchdog, and
+    /// the group/prefix HMACs), and an inert background sampler,
+    /// scrubber, and canary. Lock and net accounting stay on either
+    /// way, and accumulated state survives. On by default; benchmarks
+    /// toggle this to measure the substrate's overhead.
+    pub fn set_introspection(&self, on: bool) {
+        self.enclave.set_introspection(on);
     }
 
-    /// Enables or disables the watch plane's per-request work (flight
-    /// ticks, SLO rollups, watchdog checks). Lock and net accounting
-    /// stay on either way. On by default; benchmarks toggle this to
-    /// measure the plane's overhead.
-    pub fn set_watch(&self, on: bool) {
-        self.enclave.watch().set_enabled(on);
-    }
-
-    /// The watch plane's shared saturation state (live sessions,
-    /// in-flight requests, accept backlog, the net meter). The TCP
-    /// example feeds `accept_queued` from its accept loop through this.
-    #[must_use]
-    pub fn watch_stats(&self) -> &std::sync::Arc<crate::enclave::watch::WatchStats> {
-        self.enclave.watch()
-    }
-
-    /// Starts the background health runner: a thread that advances
-    /// the flight recorder and SLO rollups even while the server is
-    /// idle, drives the integrity scrubber on
+    /// Starts the background health runner: a thread that samples the
+    /// history and SLO state even while the server is idle, drives the integrity scrubber on
     /// [`EnclaveConfig::scrub_interval_us`], and (when
     /// [`HealthOptions::canary`] is set) issues synthetic loopback
     /// probes through the full request path. Idempotent — a second
@@ -518,39 +473,6 @@ impl SegShareServer {
             runner.stop.store(true, Ordering::Relaxed);
             let _ = runner.handle.join();
         }
-    }
-
-    /// Enables or disables the health plane (rollup sampling, the
-    /// tick-driven scrubber, and canary probes). On by default;
-    /// benchmarks toggle this to measure the plane's overhead.
-    pub fn set_health(&self, on: bool) {
-        self.enclave.health().set_enabled(on);
-    }
-
-    /// The health plane's full report — verdict, scrubber and canary
-    /// counters, alerts, burn rates, and the multi-resolution rollup
-    /// history — as one JSON document (see
-    /// [`SegShareEnclave::health_report`]).
-    #[must_use]
-    pub fn health_report(&self) -> String {
-        self.enclave.health_report()
-    }
-
-    /// Enables or disables the metering plane (per-request cost
-    /// attribution to principal/group/prefix fingerprints). Defaults
-    /// to [`EnclaveConfig::meter`]; the accumulated sketches survive a
-    /// disable. Benchmarks toggle this to measure the plane's overhead.
-    pub fn set_meter(&self, on: bool) {
-        self.enclave.meter().set_enabled(on);
-    }
-
-    /// The metering plane's report — top-K talkers, heaviest groups,
-    /// hottest path prefixes per cost dimension, and the fairness
-    /// summary — as one JSON document (see
-    /// [`SegShareEnclave::meter_report`]).
-    #[must_use]
-    pub fn meter_report(&self) -> String {
-        self.enclave.meter_report()
     }
 
     /// Verifies the tamper-evident audit chain end to end, returning
@@ -744,7 +666,7 @@ fn run_health_loop(enclave: &Arc<SegShareEnclave>, opts: &HealthOptions, stop: &
         let _ = enclave.health_tick();
         if let Some(user) = &opts.canary {
             let now = enclave.health().monitor().now_us();
-            if enclave.health().enabled()
+            if enclave.introspection_enabled()
                 && (last_probe == 0 || now.saturating_sub(last_probe) >= opts.canary_interval_us)
             {
                 last_probe = now;

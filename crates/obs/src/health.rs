@@ -1,14 +1,18 @@
-//! seg-health: multi-resolution metric retention, SLO burn-rate
-//! evaluation, and the rate-limited alert ring.
+//! seg-health: the one windowed history of the registry, SLO
+//! burn-rate evaluation, and the rate-limited alert ring.
 //!
-//! The flight recorder ([`crate::FlightRecorder`]) keeps ~16 seconds of
-//! history; this module keeps *hours*, in bounded memory, by rolling
-//! windowed [`Snapshot::delta`] samples into a ring-of-rings: one ring
-//! of 1 s slots (10 minutes), one of 1 min slots (2 hours), one of
-//! 1 h slots (2 days). Each closed slot stores fixed-size summaries —
-//! counter deltas, last gauge values, histogram digests — never raw
-//! samples, so retention cost is a compile-time constant regardless of
-//! traffic.
+//! [`HealthMonitor`] is the only consumer of windowed [`Registry`]
+//! deltas. It rolls [`Snapshot::delta`] samples into a ring-of-rings:
+//! one ring of 1 s slots (10 minutes), one of 1 min slots (2 hours),
+//! one of 1 h slots (2 days). Each closed slot stores per-series
+//! summaries — counter deltas, last gauge values, histogram digests —
+//! never raw samples or bucket arrays.
+//!
+//! The tracked series set is not capped: metric names and label values
+//! are `&'static str` (see the crate docs' trust-boundary rule), so the
+//! code, not the traffic, fixes how many series exist. Retention cost is
+//! therefore `slots × series`, both fixed at compile time, and a series
+//! registered late is retained like any other.
 //!
 //! On top of the 1 s feed sits an **SLO engine**: declarative
 //! objectives (availability, or latency-under-threshold) per operation
@@ -40,12 +44,6 @@ const LEVELS: [(u64, usize); 3] = [
     (60_000_000, 120),   // 1 min × 120 → 2 hours
     (3_600_000_000, 48), // 1 h × 48 → 2 days
 ];
-
-/// Cardinality caps for tracked series (bounded memory; overflow is
-/// counted, never retained).
-const MAX_COUNTERS: usize = 64;
-const MAX_GAUGES: usize = 16;
-const MAX_HISTS: usize = 32;
 
 /// Alerts retained in the ring.
 const ALERT_CAP: usize = 64;
@@ -192,14 +190,12 @@ impl AlertRing {
     ) -> bool {
         let mut inner = self.inner.lock().unwrap();
         let key = (kind, source);
-        if let Some((_, last)) = inner.last.iter().find(|(k, _)| *k == key) {
-            if now_us.saturating_sub(*last) < self.min_interval_us {
+        match inner.last.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, last)) if now_us.saturating_sub(*last) < self.min_interval_us => {
                 drop(inner);
                 self.suppressed.fetch_add(1, Ordering::Relaxed);
                 return false;
             }
-        }
-        match inner.last.iter_mut().find(|(k, _)| *k == key) {
             Some((_, last)) => *last = now_us,
             None => inner.last.push((key, now_us)),
         }
@@ -262,27 +258,20 @@ impl AlertRing {
     }
 }
 
-/// The series tracked by the rollup store (discovered from the first
-/// samples that carry them, capped for bounded memory).
+/// Every series the registry has reported, in discovery order. Slots
+/// store values parallel to these ids.
 #[derive(Debug, Default)]
 struct SeriesSet {
     counters: Vec<MetricId>,
     gauges: Vec<MetricId>,
     hists: Vec<MetricId>,
-    overflow: u64,
 }
 
-impl SeriesSet {
-    fn index_or_insert(ids: &mut Vec<MetricId>, id: &MetricId, cap: usize) -> Option<usize> {
-        if let Some(i) = ids.iter().position(|x| x == id) {
-            return Some(i);
-        }
-        if ids.len() >= cap {
-            return None;
-        }
+fn series_index(ids: &mut Vec<MetricId>, id: &MetricId) -> usize {
+    ids.iter().position(|x| x == id).unwrap_or_else(|| {
         ids.push(id.clone());
-        Some(ids.len() - 1)
-    }
+        ids.len() - 1
+    })
 }
 
 /// Fixed-size digest of one closed rollup slot.
@@ -352,7 +341,10 @@ struct SloState {
 
 #[derive(Debug)]
 struct MonitorInner {
-    window: crate::DeltaWindow,
+    /// The cumulative snapshot of the last sample: the baseline the
+    /// next sample (and [`HealthMonitor::open_window_json`]) differences
+    /// against.
+    prev: Option<Snapshot>,
     series: SeriesSet,
     levels: Vec<Level>,
     slo: Vec<SloState>,
@@ -403,7 +395,7 @@ impl HealthMonitor {
             alerts: AlertRing::new(config.alert_min_interval_us),
             config,
             inner: Mutex::new(MonitorInner {
-                window: crate::DeltaWindow::new(),
+                prev: None,
                 series: SeriesSet::default(),
                 levels,
                 slo,
@@ -413,12 +405,6 @@ impl HealthMonitor {
             active_alerts: AtomicU64::new(0),
             epoch: Instant::now(),
         }
-    }
-
-    /// A monitor with the default configuration.
-    #[must_use]
-    pub fn new_default() -> HealthMonitor {
-        HealthMonitor::new(HealthConfig::default())
     }
 
     /// Microseconds since this monitor's epoch (≥ 1).
@@ -458,9 +444,8 @@ impl HealthMonitor {
     }
 
     /// Takes a rollup sample if the sampling interval elapsed. Exactly
-    /// one caller wins per interval (compare-and-swap claim, the same
-    /// idiom as [`crate::FlightRecorder::tick_if_due`]); losers return
-    /// immediately. Returns whether this call sampled.
+    /// one caller wins per interval (compare-and-swap claim); losers
+    /// return immediately. Returns whether this call sampled.
     pub fn sample_if_due(&self, registry: &Registry) -> bool {
         let now = self.now_us();
         let last = self.last_sample_us.load(Ordering::Relaxed);
@@ -480,12 +465,6 @@ impl HealthMonitor {
         true
     }
 
-    /// Takes a sample unconditionally (report assembly, runners that
-    /// keep their own cadence).
-    pub fn force_sample(&self, registry: &Registry) {
-        self.force_sample_at(registry, self.now_us());
-    }
-
     /// Takes a sample unconditionally at an explicit timestamp
     /// (microseconds since the monitor's epoch). Lets tests and
     /// deterministic replays drive virtual time through slot
@@ -498,19 +477,22 @@ impl HealthMonitor {
     fn sample_now(&self, registry: &Registry, now_us: u64) {
         let snap = registry.snapshot();
         let mut inner = self.inner.lock().unwrap();
-        // Shared delta source (`DeltaWindow`): the first sample is
-        // baseline-only — retention windows start here rather than
-        // attributing all of boot-to-now to one slot.
-        let (delta, first) = inner.window.advance(snap);
-        if first {
-            for level in &mut inner.levels {
-                level.accum.opened_at_us = now_us;
+        let delta = inner.prev.as_ref().map(|prev| snap.delta(prev));
+        inner.prev = Some(snap);
+        match delta {
+            Some(delta) => {
+                self.feed_levels(&mut inner, &delta, now_us);
+                self.evaluate_slo(&mut inner, &delta, now_us);
             }
-            self.samples.fetch_add(1, Ordering::Relaxed);
-            return;
+            // The first sample is baseline-only: retention windows
+            // start here rather than attributing all of boot-to-now to
+            // one slot.
+            None => {
+                for level in &mut inner.levels {
+                    level.accum.opened_at_us = now_us;
+                }
+            }
         }
-        self.feed_levels(&mut inner, &delta, now_us);
-        self.evaluate_slo(&mut inner, &delta, now_us);
         self.samples.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -539,30 +521,23 @@ impl HealthMonitor {
 
         // Series-indexed accumulation (shared discovery across levels).
         let series = &mut inner.series;
-        let mut counter_upd: Vec<(usize, u64)> = Vec::new();
-        for (id, v) in &delta.counters {
-            match SeriesSet::index_or_insert(&mut series.counters, id, MAX_COUNTERS) {
-                Some(i) => counter_upd.push((i, *v)),
-                None => series.overflow += 1,
-            }
-        }
-        let mut gauge_upd: Vec<(usize, u64)> = Vec::new();
-        for (id, v) in &delta.gauges {
-            match SeriesSet::index_or_insert(&mut series.gauges, id, MAX_GAUGES) {
-                Some(i) => gauge_upd.push((i, *v)),
-                None => series.overflow += 1,
-            }
-        }
-        let mut hist_upd: Vec<(usize, &Vec<u64>, u64)> = Vec::new();
-        for (id, counts) in &delta.buckets {
-            match SeriesSet::index_or_insert(&mut series.hists, id, MAX_HISTS) {
-                Some(i) => {
-                    let sum = delta.histogram(&id.render()).map_or(0, |s| s.sum);
-                    hist_upd.push((i, counts, sum));
-                }
-                None => series.overflow += 1,
-            }
-        }
+        let counter_upd: Vec<(usize, u64)> = delta
+            .counters
+            .iter()
+            .map(|(id, v)| (series_index(&mut series.counters, id), *v))
+            .collect();
+        let gauge_upd: Vec<(usize, u64)> = delta
+            .gauges
+            .iter()
+            .map(|(id, v)| (series_index(&mut series.gauges, id), *v))
+            .collect();
+        // `Snapshot::delta` builds `buckets` and `histograms` in step.
+        let hist_upd: Vec<(usize, &Vec<u64>, u64)> = delta
+            .buckets
+            .iter()
+            .zip(&delta.histograms)
+            .map(|((id, counts), (_, s))| (series_index(&mut series.hists, id), counts, s.sum))
+            .collect();
         let n_counters = series.counters.len();
         let n_gauges = series.gauges.len();
         let n_hists = series.hists.len();
@@ -712,47 +687,62 @@ impl HealthMonitor {
             }
             out.push_str("]}");
         }
+        let series = &inner.series;
         out.push_str(&format!(
-            "],\"tracked_series\":{},\"series_overflow\":{}}}",
-            inner.series.counters.len() + inner.series.gauges.len() + inner.series.hists.len(),
-            inner.series.overflow
+            "],\"tracked_series\":{}}}",
+            series.counters.len() + series.gauges.len() + series.hists.len()
         ));
         out
     }
 
-    /// The newest closed slot of the finest level, as a full tracked-
-    /// series map (counter deltas, gauge values, histogram p95s) —
-    /// the "what changed in the last second" export.
+    /// The newest `n` closed 1 s slots, oldest first, each as a full
+    /// per-series map (counter deltas, gauge values, histogram digests)
+    /// — the "what changed in the last seconds" export.
     #[must_use]
-    pub fn latest_slot_json(&self) -> String {
+    pub fn recent_slots_json(&self, n: usize) -> String {
         let inner = self.inner.lock().unwrap();
-        let Some(slot) = inner.levels.first().and_then(|l| l.slots.back()) else {
-            return "null".to_string();
+        let slots = inner.levels.first().map(|l| &l.slots);
+        let skip = slots.map_or(0, |s| s.len().saturating_sub(n));
+        let mut out = String::from("[");
+        for (i, slot) in slots.into_iter().flatten().skip(skip).enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let series = &inner.series;
+            push_series_json(
+                &mut out,
+                slot.seq,
+                slot.at_us,
+                series.counters.iter().zip(slot.counters.iter().copied()),
+                series.gauges.iter().zip(slot.gauges.iter().copied()),
+                series.hists.iter().zip(&slot.hists),
+            );
+        }
+        out.push(']');
+        out
+    }
+
+    /// The window since the last sample, in the
+    /// [`recent_slots_json`](Self::recent_slots_json) format, read
+    /// without advancing the baseline or feeding SLO burn state (so a
+    /// report can include the newest activity without disturbing the
+    /// sampling cadence). Before the first sample it is cumulative.
+    #[must_use]
+    pub fn open_window_json(&self, registry: &Registry) -> String {
+        let snap = registry.snapshot();
+        let window = match &self.inner.lock().unwrap().prev {
+            Some(prev) => snap.delta(prev),
+            None => snap,
         };
-        let esc = |id: &MetricId| id.render().replace('"', "\\\"");
-        let mut out = String::from("{");
-        out.push_str(&format!("\"at_us\":{},\"counters\":{{", slot.at_us));
-        for (i, (id, v)) in inner.series.counters.iter().zip(&slot.counters).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", esc(id), v));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (id, v)) in inner.series.gauges.iter().zip(&slot.gauges).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", esc(id), v));
-        }
-        out.push_str("},\"histograms_p95_ns\":{");
-        for (i, (id, s)) in inner.series.hists.iter().zip(&slot.hists).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", esc(id), s.p95));
-        }
-        out.push_str("}}");
+        let mut out = String::new();
+        push_series_json(
+            &mut out,
+            0,
+            self.now_us(),
+            window.counters.iter().map(|(id, v)| (id, *v)),
+            window.gauges.iter().map(|(id, v)| (id, *v)),
+            window.histograms.iter().map(|(id, s)| (id, s)),
+        );
         out
     }
 
@@ -793,10 +783,9 @@ fn objective_window(obj: &SloObjective, delta: &Snapshot) -> (u64, u64) {
             Some(op) => id.labels().iter().any(|&(k, v)| k == "op" && v == op),
         }
     };
+    let (mut total, mut bad) = (0, 0);
     match obj.latency_threshold_ns {
         None => {
-            let mut total = 0;
-            let mut bad = 0;
             for (id, v) in &delta.counters {
                 if id.name() == "seg_requests_total" && op_matches(id) {
                     total += v;
@@ -804,11 +793,8 @@ fn objective_window(obj: &SloObjective, delta: &Snapshot) -> (u64, u64) {
                     bad += v;
                 }
             }
-            (total, bad)
         }
         Some(threshold) => {
-            let mut total = 0;
-            let mut bad = 0;
             for (id, counts) in &delta.buckets {
                 if id.name() != "seg_request_latency_ns" || !op_matches(id) {
                     continue;
@@ -820,9 +806,9 @@ fn objective_window(obj: &SloObjective, delta: &Snapshot) -> (u64, u64) {
                     }
                 }
             }
-            (total, bad)
         }
     }
+    (total, bad)
 }
 
 /// Summarizes accumulated bucket counts (min/max approximated by the
@@ -836,6 +822,50 @@ fn summarize(counts: &[u64], sum: u64) -> HistogramSummary {
         first.map_or(0, hist::bucket_mid),
         last.map_or(0, hist::bucket_mid),
     )
+}
+
+/// One window as a JSON object of per-series maps. Zero counter
+/// deltas, zero gauges, and empty histograms are omitted: in a window
+/// they mean "nothing happened", and the full series list is the
+/// code's metric set.
+fn push_series_json<'a>(
+    out: &mut String,
+    seq: u64,
+    at_us: u64,
+    counters: impl Iterator<Item = (&'a MetricId, u64)>,
+    gauges: impl Iterator<Item = (&'a MetricId, u64)>,
+    hists: impl Iterator<Item = (&'a MetricId, &'a HistogramSummary)>,
+) {
+    let key = |id: &MetricId| id.render().replace('"', "\\\"");
+    out.push_str(&format!("{{\"seq\":{seq},\"at_us\":{at_us}"));
+    for (name, series) in [
+        ("counters", counters.collect::<Vec<_>>()),
+        ("gauges", gauges.collect()),
+    ] {
+        out.push_str(&format!(",\"{name}\":{{"));
+        for (i, (id, v)) in series.iter().filter(|(_, v)| *v > 0).enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!("\"{}\":{v}", key(id)));
+        }
+        out.push('}');
+    }
+    out.push_str(",\"histograms\":{");
+    for (i, (id, s)) in hists.filter(|(_, s)| s.count > 0).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "\"{}\":{{\"count\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{}}}",
+            key(id),
+            s.count,
+            s.p50,
+            s.p95,
+            s.p99
+        ));
+    }
+    out.push_str("}}");
 }
 
 #[cfg(test)]
@@ -1046,12 +1076,93 @@ mod tests {
             .add(4);
         r.gauge("seg_epc_bytes").set(4096);
         m.force_sample_at(&r, clock.tick());
-        let json = m.latest_slot_json();
+        let json = m.recent_slots_json(1);
         assert!(
             json.contains("\"seg_requests_total{op=\\\"get\\\"}\":4"),
             "{json}"
         );
         assert!(json.contains("\"seg_epc_bytes\":4096"), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn slots_are_windowed_deltas() {
+        let r = Registry::new();
+        let m = HealthMonitor::new(quick_config());
+        let mut clock = Clock(0);
+        r.counter("seg_frames_total").add(2);
+        m.force_sample_at(&r, clock.tick()); // baseline
+        r.counter("seg_frames_total").add(5);
+        m.force_sample_at(&r, clock.tick());
+        r.counter("seg_frames_total").add(3);
+        m.force_sample_at(&r, clock.tick());
+        // Each slot covers only its own window, oldest first.
+        let json = m.recent_slots_json(2);
+        let five = json.find("\"seg_frames_total\":5").expect(&json);
+        let three = json.find("\"seg_frames_total\":3").expect(&json);
+        assert!(five < three, "{json}");
+        assert!(json.starts_with("[{\"seq\":1,"), "{json}");
+        assert!(json.contains("{\"seq\":2,"), "{json}");
+    }
+
+    #[test]
+    fn slot_ring_evicts_oldest_but_keeps_total() {
+        let r = Registry::new();
+        let m = HealthMonitor::new(quick_config());
+        let mut clock = Clock(0);
+        for _ in 0..700 {
+            r.counter("seg_frames_total").inc();
+            m.force_sample_at(&r, clock.tick());
+        }
+        // 699 one-second slots closed after the baseline; the ring keeps
+        // the newest 600 and their sequence numbers keep counting.
+        let json = m.recent_slots_json(usize::MAX);
+        assert_eq!(json.matches("\"seq\":").count(), 600);
+        assert!(json.starts_with("[{\"seq\":100,"), "oldest retained");
+        assert!(json.contains("{\"seq\":699,"), "newest retained");
+        assert_eq!(m.recent_slots_json(3).matches("\"seq\":").count(), 3);
+    }
+
+    #[test]
+    fn late_series_is_retained_past_sixty_four_others() {
+        let r = Registry::new();
+        let m = HealthMonitor::new(quick_config());
+        let mut clock = Clock(0);
+        for i in 0..70 {
+            let label: &'static str = Box::leak(format!("s{i}").into_boxed_str());
+            r.counter_with("seg_early_total", vec![("n", label)]).inc();
+        }
+        m.force_sample_at(&r, clock.tick()); // baseline
+        m.force_sample_at(&r, clock.tick()); // 70 series discovered
+        r.counter("seg_late_total").add(7);
+        m.force_sample_at(&r, clock.tick());
+        let json = m.recent_slots_json(1);
+        assert!(json.contains("\"seg_late_total\":7"), "{json}");
+        assert!(m.history_json().contains("\"tracked_series\":71"));
+    }
+
+    #[test]
+    fn open_window_does_not_advance_the_baseline() {
+        let r = Registry::new();
+        let m = HealthMonitor::new(quick_config());
+        let mut clock = Clock(0);
+        m.force_sample_at(&r, clock.tick());
+        r.counter("seg_frames_total").add(4);
+        for _ in 0..2 {
+            let open = m.open_window_json(&r);
+            assert!(open.contains("\"seg_frames_total\":4"), "{open}");
+        }
+        assert_eq!(m.samples(), 1, "reading the open window is not a sample");
+        m.force_sample_at(&r, clock.tick());
+        assert!(m.recent_slots_json(1).contains("\"seg_frames_total\":4"));
+    }
+
+    #[test]
+    fn empty_history_encodes_cleanly() {
+        let m = HealthMonitor::new(quick_config());
+        assert_eq!(m.recent_slots_json(16), "[]");
+        for json in [m.history_json(), m.open_window_json(&Registry::new())] {
+            assert_eq!(json.matches('{').count(), json.matches('}').count());
+        }
     }
 }

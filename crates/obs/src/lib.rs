@@ -31,17 +31,15 @@
 
 #![warn(missing_docs)]
 
-pub mod flight;
 pub mod health;
 mod hist;
 pub mod meter;
 pub mod prof;
 pub mod trace;
 
-pub use flight::{FlightFrame, FlightRecorder, SloRollup};
 pub use health::{Alert, AlertRing, BurnRule, HealthConfig, HealthMonitor, SloObjective};
 pub use hist::{Histogram, HistogramSummary};
-pub use meter::{CostVector, Meter, MeterAxis, MeterSlot, MeterStats, METER_SLOTS};
+pub use meter::{AxisStats, CostVector, Meter, MeterAxis, MeterSlot, METER_SLOTS};
 pub use prof::{ProfEntry, ProfSnapshot, Profiler};
 pub use trace::{
     current_request_id, events_json, set_current_request, TraceDecision, TraceEvent, TraceRing,
@@ -583,49 +581,6 @@ impl Snapshot {
             out.push_str(&suffix("_count", s.count));
         }
         out
-    }
-}
-
-/// Shared delta-window bookkeeping over cumulative [`Snapshot`]s.
-///
-/// Both the flight recorder and the health monitor difference
-/// consecutive snapshots to turn cumulative counters into per-window
-/// rates. They used to each keep their own `Option<Snapshot>` and
-/// first-sample special case; this type is the single source of that
-/// logic so the two planes cannot drift.
-#[derive(Debug, Default)]
-pub struct DeltaWindow {
-    prev: Option<Snapshot>,
-}
-
-impl DeltaWindow {
-    /// An empty window (the next [`DeltaWindow::advance`] is a first
-    /// sample).
-    #[must_use]
-    pub fn new() -> DeltaWindow {
-        DeltaWindow::default()
-    }
-
-    /// Advances the window to `snap` and returns `(window, is_first)`.
-    ///
-    /// On the first call there is no earlier snapshot to difference
-    /// against, so the returned window is the cumulative snapshot
-    /// itself and `is_first` is `true`; callers decide whether to use
-    /// it (flight's first frame is since-boot by design) or to treat
-    /// it as baseline-only (health's first sample feeds no windows).
-    pub fn advance(&mut self, snap: Snapshot) -> (Snapshot, bool) {
-        let (window, first) = match &self.prev {
-            Some(prev) => (snap.delta(prev), false),
-            None => (snap.clone(), true),
-        };
-        self.prev = Some(snap);
-        (window, first)
-    }
-
-    /// Whether a baseline snapshot has been stored yet.
-    #[must_use]
-    pub fn primed(&self) -> bool {
-        self.prev.is_some()
     }
 }
 

@@ -1,51 +1,53 @@
-//! `seg-meter`: cardinality-bounded per-principal resource accounting.
+//! `seg-meter`: cardinality-bounded per-key resource and SLO
+//! attribution.
 //!
-//! Every observability plane so far answers *what* the system is doing
-//! (metrics), *what one request did* (trace), *where the time went*
-//! (prof), and *whether the system is keeping up* (watch/health). This
-//! module answers **who is costing what**: each completed request's
-//! cost vector — ops, bytes moved, crypto and lock-wait nanoseconds,
-//! cache and store activity, audit bytes — is attributed to the
-//! requesting principal and the touched group / path prefix.
+//! Metrics say *what* the system is doing, traces *what one request
+//! did*, the profiler *where the time went*, and the health monitor
+//! *whether the system is keeping up*. This module answers **who is
+//! costing what, and who is being served badly**: each completed
+//! request's cost vector — ops, bytes moved, crypto and lock-wait
+//! nanoseconds, cache and store activity, audit bytes, plus its
+//! outcome (error, slow) and latency — is attributed to the requesting
+//! principal, the touched group, the touched path prefix, and the
+//! touched object.
 //!
 //! # Bounded memory under adversarial cardinality
 //!
-//! Principals, groups, and prefixes are client-controlled in number, so
-//! exact per-key tables would let an adversary grow enclave memory
-//! without bound. Each attribution axis therefore keeps a
-//! **SpaceSaving-style top-K sketch** ([`MeterAxis`]) of at most
-//! [`METER_SLOTS`] tracked keys (the same 64-series idiom as the flight
-//! recorder's SLO rollups):
+//! Principals, groups, prefixes, and objects are client-controlled in
+//! number, so exact per-key tables would let an adversary grow enclave
+//! memory without bound. Each attribution [`Axis`] therefore keeps a
+//! **SpaceSaving top-K sketch** ([`MeterAxis`]) of at most
+//! [`METER_SLOTS`] tracked keys — the only bounded-cardinality
+//! structure in `seg-obs`:
 //!
 //! - a tracked key's op **estimate** only over-counts, never under:
 //!   `true ≤ est ≤ true + err`, with the per-slot error bound `err`
 //!   inherited from the evicted minimum at takeover;
 //! - `err` never exceeds the smallest tracked estimate, so heavy
-//!   hitters are provably separated from the noise floor;
+//!   hitters are provably separated from the noise floor, and a key
+//!   that turns heavy late still takes over a slot;
 //! - the full cost vector is an **exact rollup while tracked**; evicted
 //!   rollups fold into the axis's overflow bucket, so cost totals are
 //!   conserved: `Σ tracked + overflow = everything attributed`.
 //!
 //! # Trust boundary
 //!
-//! Keys are keyed fingerprints (the same HMAC outputs trace, audit,
-//! and flight carry), rendered as 16 hex digits; cost values are
-//! aggregate counts and durations. [`Meter::report_json`] is a
-//! declassification point of the same kind as the flight recorder's
-//! dump: deliberate, explicit, and content-free by construction.
+//! Keys are keyed fingerprints (the same HMAC outputs trace and audit
+//! carry), rendered as 16 hex digits; cost values are aggregate counts
+//! and durations. [`Meter::report_json`] is a declassification point:
+//! deliberate, explicit, and content-free by construction.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Hard cap on tracked keys per attribution axis, matching the flight
-/// recorder's [`crate::flight::MAX_SLO_SERIES`] idiom. Memory per axis
-/// is `METER_SLOTS × sizeof(slot)` regardless of how many distinct
-/// principals, groups, or prefixes ever appear.
+/// Hard cap on tracked keys per attribution axis. Memory per axis is
+/// `METER_SLOTS × sizeof(slot)` regardless of how many distinct keys
+/// ever appear.
 pub const METER_SLOTS: usize = 64;
 
 /// Dimension names of a [`CostVector`], in field order. Compiled-in
 /// strings, valid as metric label values (`[a-z0-9_.]`).
-pub const COST_DIMS: [&str; 10] = [
+pub const COST_DIMS: [&str; 14] = [
     "ops",
     "req_bytes",
     "resp_bytes",
@@ -56,11 +58,15 @@ pub const COST_DIMS: [&str; 10] = [
     "store_reads",
     "store_writes",
     "audit_bytes",
+    "errors",
+    "slow",
+    "latency_us",
+    "latency_max_us",
 ];
 
 /// The per-request cost vector: what one request (or an aggregate of
-/// requests) cost the system, in every dimension the existing planes
-/// already measure.
+/// requests) cost the system and how it was served, in every dimension
+/// the existing instrumentation already measures.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostVector {
     /// Completed requests.
@@ -83,10 +89,20 @@ pub struct CostVector {
     pub store_writes: u64,
     /// Sealed audit-trail bytes appended on this principal's behalf.
     pub audit_bytes: u64,
+    /// Requests that finished with a client-visible error.
+    pub errors: u64,
+    /// Requests at or above the stall deadline.
+    pub slow: u64,
+    /// Sum of request latencies in microseconds.
+    pub latency_us: u64,
+    /// Largest single request latency in microseconds (merged by max,
+    /// not summed).
+    pub latency_max_us: u64,
 }
 
 impl CostVector {
-    /// Adds `other` into `self`, saturating per dimension.
+    /// Adds `other` into `self`: saturating per dimension, except
+    /// `latency_max_us`, which keeps the larger value.
     pub fn add(&mut self, other: &CostVector) {
         self.ops = self.ops.saturating_add(other.ops);
         self.req_bytes = self.req_bytes.saturating_add(other.req_bytes);
@@ -98,6 +114,10 @@ impl CostVector {
         self.store_reads = self.store_reads.saturating_add(other.store_reads);
         self.store_writes = self.store_writes.saturating_add(other.store_writes);
         self.audit_bytes = self.audit_bytes.saturating_add(other.audit_bytes);
+        self.errors = self.errors.saturating_add(other.errors);
+        self.slow = self.slow.saturating_add(other.slow);
+        self.latency_us = self.latency_us.saturating_add(other.latency_us);
+        self.latency_max_us = self.latency_max_us.max(other.latency_max_us);
     }
 
     /// The value of dimension `i` (index into [`COST_DIMS`]).
@@ -118,6 +138,10 @@ impl CostVector {
             self.store_reads,
             self.store_writes,
             self.audit_bytes,
+            self.errors,
+            self.slow,
+            self.latency_us,
+            self.latency_max_us,
         ][i]
     }
 
@@ -130,6 +154,34 @@ impl CostVector {
             out.push_str(&format!("\"{name}\":{}", self.dim(i)));
         }
         out.push('}');
+    }
+}
+
+/// An attribution axis of the [`Meter`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// The requesting principal (the "talkers" list).
+    Principal,
+    /// The group a request touches.
+    Group,
+    /// The top-level path component a request touches.
+    Prefix,
+    /// The object (path or group name) a request touches.
+    Object,
+}
+
+impl Axis {
+    /// Every axis, in the order [`Meter::record`] takes its keys.
+    pub const ALL: [Axis; 4] = [Axis::Principal, Axis::Group, Axis::Prefix, Axis::Object];
+
+    /// The compiled-in `axis` label value of the `seg_meter_*` families.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        ["principal", "group", "prefix", "object"][self as usize]
+    }
+
+    fn section(self) -> &'static str {
+        ["principals", "groups", "prefixes", "objects"][self as usize]
     }
 }
 
@@ -294,131 +346,66 @@ pub struct AxisStats {
     pub min_est: u64,
 }
 
-/// Snapshot of every axis's summary.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MeterStats {
-    /// The per-principal ("talkers") axis.
-    pub principals: AxisStats,
-    /// The per-group axis.
-    pub groups: AxisStats,
-    /// The per-path-prefix axis.
-    pub prefixes: AxisStats,
-}
-
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct MeterInner {
     totals: CostVector,
-    principals: MeterAxis,
-    groups: MeterAxis,
-    prefixes: MeterAxis,
+    axes: [MeterAxis; 4],
 }
 
-/// The metering plane: three bounded attribution axes behind one lock,
-/// fed once per completed request. All methods take `&self`; safe to
-/// share via `Arc` across session threads. Disabled, [`Meter::record`]
-/// is a single relaxed atomic load.
-#[derive(Debug)]
+/// The attribution sketch: one bounded [`MeterAxis`] (of
+/// [`METER_SLOTS`] slots) per [`Axis`]
+/// behind one lock, fed once per completed request. All methods take
+/// `&self`; safe to share via `Arc` across session threads. Whether
+/// requests are fed at all is the caller's switch.
+#[derive(Debug, Default)]
 pub struct Meter {
-    enabled: AtomicBool,
     samples: AtomicU64,
     inner: Mutex<MeterInner>,
 }
 
-impl Default for Meter {
-    fn default() -> Meter {
-        Meter::new(true)
-    }
-}
-
 impl Meter {
-    /// Creates a meter with [`METER_SLOTS`] slots per axis.
-    #[must_use]
-    pub fn new(enabled: bool) -> Meter {
-        Meter {
-            enabled: AtomicBool::new(enabled),
-            samples: AtomicU64::new(0),
-            inner: Mutex::new(MeterInner {
-                totals: CostVector::default(),
-                principals: MeterAxis::default(),
-                groups: MeterAxis::default(),
-                prefixes: MeterAxis::default(),
-            }),
-        }
-    }
-
-    /// Whether attribution is currently recording.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables attribution at runtime. Disabling keeps the
-    /// accumulated state (and the exported families) intact.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
     /// Requests attributed so far.
     #[must_use]
     pub fn samples(&self) -> u64 {
         self.samples.load(Ordering::Relaxed)
     }
 
-    /// Attributes one request's cost vector to its principal, touched
-    /// group, and touched path prefix (each a keyed fingerprint, 0 =
-    /// none). A no-op while disabled.
-    pub fn record(&self, principal: u64, group: u64, prefix: u64, cost: &CostVector) {
-        if !self.enabled() {
-            return;
-        }
+    /// Attributes one request's cost vector to its keys, one keyed
+    /// fingerprint per axis in [`Axis::ALL`] order (0 = the request
+    /// touches no operand of that kind).
+    pub fn record(&self, keys: [u64; 4], cost: &CostVector) {
         self.samples.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock().unwrap();
         inner.totals.add(cost);
-        inner.principals.record(principal, cost);
-        inner.groups.record(group, cost);
-        inner.prefixes.record(prefix, cost);
+        for (axis, fp) in inner.axes.iter_mut().zip(keys) {
+            axis.record(fp, cost);
+        }
     }
 
     /// Grand totals across every attributed request (including ones
-    /// whose operands carried no group or prefix).
+    /// whose operands carried no key on some axis).
     #[must_use]
     pub fn totals(&self) -> CostVector {
         self.inner.lock().unwrap().totals
     }
 
-    /// Per-axis summaries for the `seg_meter_*` metric families.
+    /// One axis's summary for the `seg_meter_*` metric families.
     #[must_use]
-    pub fn stats(&self) -> MeterStats {
+    pub fn stats(&self, axis: Axis) -> AxisStats {
         let inner = self.inner.lock().unwrap();
-        let axis = |a: &MeterAxis| AxisStats {
+        let a = &inner.axes[axis as usize];
+        AxisStats {
             tracked: a.tracked() as u64,
             evictions: a.evictions(),
             overflow_ops: a.overflow().ops,
             min_est: a.min_est(),
-        };
-        MeterStats {
-            principals: axis(&inner.principals),
-            groups: axis(&inner.groups),
-            prefixes: axis(&inner.prefixes),
         }
     }
 
-    /// The top `k` principals by op estimate (the "talkers" list).
+    /// The top `k` keys of `axis` by op estimate.
     #[must_use]
-    pub fn top_principals(&self, k: usize) -> Vec<MeterSlot> {
-        self.inner.lock().unwrap().principals.top(0, k)
-    }
-
-    /// The top `k` groups by op estimate.
-    #[must_use]
-    pub fn top_groups(&self, k: usize) -> Vec<MeterSlot> {
-        self.inner.lock().unwrap().groups.top(0, k)
-    }
-
-    /// The top `k` path prefixes by op estimate.
-    #[must_use]
-    pub fn top_prefixes(&self, k: usize) -> Vec<MeterSlot> {
-        self.inner.lock().unwrap().prefixes.top(0, k)
+    pub fn top(&self, axis: Axis, k: usize) -> Vec<MeterSlot> {
+        self.inner.lock().unwrap().axes[axis as usize].top(0, k)
     }
 
     /// Hand-rolled JSON report: per-axis top-K with estimates, error
@@ -426,35 +413,28 @@ impl Meter {
     /// a fairness summary (tracked vs overflow share per axis).
     ///
     /// Declassification point: fingerprints render as 16 hex digits
-    /// (the trace/flight idiom), dimension names are compiled in,
-    /// values are aggregates.
+    /// (the trace idiom), dimension names are compiled in, values are
+    /// aggregates.
     #[must_use]
     pub fn report_json(&self) -> String {
         let inner = self.inner.lock().unwrap();
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "\"enabled\":{},\n\"samples\":{},\n\"slots\":{},\n\"totals\":",
-            self.enabled(),
-            self.samples(),
-            METER_SLOTS,
-        ));
+        let mut out = format!(
+            "{{\n\"samples\":{},\n\"slots\":{METER_SLOTS},\n\"totals\":",
+            self.samples()
+        );
         inner.totals.push_json(&mut out);
         out.push_str(",\n");
-        for (name, axis) in [
-            ("principals", &inner.principals),
-            ("groups", &inner.groups),
-            ("prefixes", &inner.prefixes),
-        ] {
-            out.push_str(&format!("\"{name}\":{{"));
+        for (axis, a) in Axis::ALL.iter().zip(&inner.axes) {
             out.push_str(&format!(
-                "\"tracked\":{},\"evictions\":{},\"min_tracked_ops\":{},\"overflow\":",
-                axis.tracked(),
-                axis.evictions(),
-                axis.min_est(),
+                "\"{}\":{{\"tracked\":{},\"evictions\":{},\"min_tracked_ops\":{},\"overflow\":",
+                axis.section(),
+                a.tracked(),
+                a.evictions(),
+                a.min_est(),
             ));
-            axis.overflow().push_json(&mut out);
+            a.overflow().push_json(&mut out);
             out.push_str(",\n\"top\":[");
-            for (i, s) in axis.top(0, 16).iter().enumerate() {
+            for (i, s) in a.top(0, 16).iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
@@ -471,7 +451,7 @@ impl Meter {
                     out.push(',');
                 }
                 out.push_str(&format!("\n\"{dim}\":["));
-                for (i, s) in axis.top(d, 5).iter().enumerate() {
+                for (i, s) in a.top(d, 5).iter().enumerate() {
                     if s.costs.dim(d) == 0 {
                         break;
                     }
@@ -489,24 +469,18 @@ impl Meter {
             out.push_str("\n}},\n");
         }
         out.push_str("\"fairness\":{");
-        for (i, (name, axis)) in [
-            ("principals", &inner.principals),
-            ("groups", &inner.groups),
-            ("prefixes", &inner.prefixes),
-        ]
-        .iter()
-        .enumerate()
-        {
+        for (i, (axis, a)) in Axis::ALL.iter().zip(&inner.axes).enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let tracked = axis.tracked_ops();
-            let overflow = axis.overflow().ops;
+            let tracked = a.tracked_ops();
+            let overflow = a.overflow().ops;
             let total = (tracked + overflow).max(1);
-            let top8: u64 = axis.top(0, 8).iter().map(|s| s.costs.ops).sum();
+            let top8: u64 = a.top(0, 8).iter().map(|s| s.costs.ops).sum();
             out.push_str(&format!(
-                "\n\"{name}\":{{\"attributed_ops\":{},\"tracked_share_milli\":{},\
+                "\n\"{}\":{{\"attributed_ops\":{},\"tracked_share_milli\":{},\
                  \"overflow_share_milli\":{},\"top8_share_milli\":{}}}",
+                axis.section(),
                 tracked + overflow,
                 tracked * 1000 / total,
                 overflow * 1000 / total,
@@ -598,24 +572,58 @@ mod tests {
         axis.record(0, &unit_cost());
         assert_eq!(axis.tracked(), 0);
         assert_eq!(axis.updates(), 0);
-        let meter = Meter::new(true);
-        meter.record(0, 0, 0, &unit_cost());
+        let meter = Meter::default();
+        meter.record([0; 4], &unit_cost());
         // The request still counts toward samples and grand totals.
         assert_eq!(meter.samples(), 1);
         assert_eq!(meter.totals().ops, 1);
-        assert_eq!(meter.stats().principals.tracked, 0);
+        for axis in Axis::ALL {
+            assert_eq!(meter.stats(axis).tracked, 0);
+        }
     }
 
     #[test]
-    fn disabled_meter_records_nothing() {
-        let meter = Meter::new(false);
-        meter.record(1, 2, 3, &unit_cost());
-        assert_eq!(meter.samples(), 0);
-        assert_eq!(meter.totals(), CostVector::default());
-        meter.set_enabled(true);
-        meter.record(1, 2, 3, &unit_cost());
-        assert_eq!(meter.samples(), 1);
-        assert_eq!(meter.stats().groups.tracked, 1);
+    fn rollup_tracks_errors_and_slow_requests() {
+        let meter = Meter::default();
+        let request = |ok: bool, us: u64| CostVector {
+            ops: 1,
+            errors: u64::from(!ok),
+            slow: u64::from(us >= 100),
+            latency_us: us,
+            latency_max_us: us,
+            ..CostVector::default()
+        };
+        meter.record([7, 0, 0, 9], &request(true, 50));
+        meter.record([7, 0, 0, 9], &request(false, 200));
+        let p = meter.top(Axis::Principal, 1)[0].costs;
+        assert_eq!(
+            (p.ops, p.errors, p.slow, p.latency_us, p.latency_max_us),
+            (2, 1, 1, 250, 200)
+        );
+        assert_eq!(meter.top(Axis::Object, 1)[0].fp, 9);
+        assert_eq!(meter.top(Axis::Object, 1)[0].costs.ops, 2);
+        assert_eq!(meter.totals().latency_max_us, 200, "max merges by max");
+    }
+
+    #[test]
+    fn object_axis_is_cardinality_bounded() {
+        // 3 × METER_SLOTS distinct objects: only METER_SLOTS are
+        // tracked, the rest fold into the overflow bucket, nothing is
+        // lost.
+        let meter = Meter::default();
+        let n = (METER_SLOTS * 3) as u64;
+        for fp in 1..=n {
+            meter.record([0, 0, 0, fp], &unit_cost());
+        }
+        let stats = meter.stats(Axis::Object);
+        assert_eq!(stats.tracked, METER_SLOTS as u64);
+        assert_eq!(stats.overflow_ops, n - METER_SLOTS as u64);
+        let kept: u64 = meter
+            .top(Axis::Object, usize::MAX)
+            .iter()
+            .map(|s| s.costs.ops)
+            .sum();
+        assert_eq!(kept + stats.overflow_ops, n);
     }
 
     #[test]
@@ -640,19 +648,23 @@ mod tests {
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
-        let meter = Meter::new(true);
+        let meter = Meter::default();
         let mut truth = vec![0u64; n + 1];
         for _ in 0..60_000 {
             let u = next();
             let rank = cdf.partition_point(|&c| c < u) + 1;
             let fp = rank as u64; // rank doubles as fingerprint
             truth[rank.min(n)] += 1;
-            meter.record(fp, 0, 0, &unit_cost());
+            meter.record([fp, 0, 0, 0], &unit_cost());
         }
         let mut by_truth: Vec<usize> = (1..=n).collect();
         by_truth.sort_by_key(|&r| std::cmp::Reverse(truth[r]));
         let true_top: Vec<u64> = by_truth[..10].iter().map(|&r| r as u64).collect();
-        let reported: Vec<u64> = meter.top_principals(10).iter().map(|s| s.fp).collect();
+        let reported: Vec<u64> = meter
+            .top(Axis::Principal, 10)
+            .iter()
+            .map(|s| s.fp)
+            .collect();
         let recalled = true_top.iter().filter(|fp| reported.contains(fp)).count();
         assert!(
             recalled >= 9,
@@ -660,11 +672,7 @@ mod tests {
         );
         // The heavy hitters' estimates are near-exact under this skew.
         for &fp in &true_top[..3] {
-            let s = meter
-                .inner
-                .lock()
-                .unwrap()
-                .principals
+            let s = meter.inner.lock().unwrap().axes[Axis::Principal as usize]
                 .slot(fp)
                 .copied()
                 .unwrap();
@@ -674,12 +682,10 @@ mod tests {
 
     #[test]
     fn report_json_is_balanced_and_fingerprints_are_hex() {
-        let meter = Meter::new(true);
+        let meter = Meter::default();
         for i in 1..=100u64 {
             meter.record(
-                i,
-                i % 7,
-                i % 3,
+                [i, i % 7, i % 3, i % 5],
                 &CostVector {
                     ops: 1,
                     req_bytes: i,
@@ -700,6 +706,7 @@ mod tests {
             "\"principals\"",
             "\"groups\"",
             "\"prefixes\"",
+            "\"objects\"",
             "\"top_by\"",
             "\"fairness\"",
             "\"overflow\"",
@@ -714,22 +721,22 @@ mod tests {
 
     #[test]
     fn empty_report_encodes_cleanly() {
-        let json = Meter::new(true).report_json();
+        let json = Meter::default().report_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"samples\":0"), "{json}");
     }
 
     #[test]
     fn fairness_shares_sum_to_whole() {
-        let meter = Meter::new(true);
+        let meter = Meter::default();
         for i in 1..=300u64 {
-            meter.record(i, 0, 0, &unit_cost());
+            meter.record([i, 0, 0, 0], &unit_cost());
         }
         let json = meter.report_json();
         // 300 distinct principals over 64 slots: both buckets nonzero.
-        let stats = meter.stats();
-        assert_eq!(stats.principals.tracked, METER_SLOTS as u64);
-        assert!(stats.principals.evictions > 0);
+        let stats = meter.stats(Axis::Principal);
+        assert_eq!(stats.tracked, METER_SLOTS as u64);
+        assert!(stats.evictions > 0);
         assert!(json.contains("\"tracked_share_milli\""), "{json}");
         assert!(json.contains("\"overflow_share_milli\""), "{json}");
     }

@@ -413,7 +413,7 @@ pub fn charge(name: &'static str, ns: u64) {
 /// the thread-local accumulator holds exactly this request's phases, so
 /// this reads back what the request has spent so far in e.g.
 /// `"crypto_gcm"` (wall-clock self time) or `"lock_wait"` (simulated
-/// time fed via [`charge`]) — the metering plane's cost probes, reusing
+/// time fed via [`charge`]) — the attribution cost probes, reusing
 /// the profiler's instrumentation instead of adding a second pass.
 /// Self times of distinct paths never overlap, so the sum is exact.
 /// Returns `(0, 0)` without an active root.

@@ -15,7 +15,7 @@
 //! # Trust-boundary rule
 //!
 //! Trace events cross the enclave boundary when declassified via
-//! `SegShareServer::trace_tail`, so they obey the same rule as metrics:
+//! `SegShareServer::introspect`, so they obey the same rule as metrics:
 //! operation and error-code labels are interned `&'static str`s
 //! (compiled into the binary), and principals/objects appear only as
 //! stable keyed fingerprints (`u64`), never as raw user ids or paths.

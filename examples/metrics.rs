@@ -1,7 +1,7 @@
 //! Telemetry tour: drive an upload → share → download → revoke flow
-//! and print the server's unified metrics snapshot, the phase-profile
-//! breakdown, the structured request trace, and the verified audit
-//! trail.
+//! and print the server's unified metrics snapshot, the introspection
+//! report (phase profile, structured request trace, attribution,
+//! history), and the verified audit trail.
 //!
 //! Every export here crosses a *declassification point*: per-operation
 //! request counts and latency quantiles, enclave-boundary crossings, EPC
@@ -98,35 +98,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- full snapshot (Prometheus) ---");
     print!("{}", snap.to_prometheus());
 
-    // ------------------------------------------------- phase profile
-    // Where each operation's time went, as a static phase tree. Paths
-    // are compiled-in names only; values are aggregated durations —
-    // the same trust-boundary rule as the metrics above.
-    let prof = server.profile_snapshot();
-    println!("--- phase profile (self time by phase, all ops) ---");
-    let ops: Vec<&str> = prof
-        .entries
-        .iter()
-        .map(seg_obs::ProfEntry::op)
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    for (leaf, ns) in prof.phase_breakdown(&ops) {
-        println!("  {leaf:<14} {:>9.3} ms", ns as f64 / 1e6);
-    }
-    println!("--- phase profile (flamegraph-collapsed) ---");
-    print!("{}", prof.to_collapsed());
-    println!("--- phase profile (JSON) ---");
-    print!("{}", prof.to_json());
-
-    // ------------------------------------------------ trace and audit
-    // Principals and objects appear as keyed fingerprints: stable across
-    // events (bob's denied read carries the same ids as his earlier
-    // allowed one) but not invertible outside the enclave.
-    println!("--- request trace (newest 32, JSON) ---");
-    print!("{}", seg_obs::events_json(&server.trace_tail(32)));
-    println!("--- slow requests ---");
-    print!("{}", seg_obs::events_json(&server.slow_requests(16)));
+    // ------------------------------------------ introspection report
+    // Where each operation's time went (the phase profile), who it was
+    // spent on (attribution), and what each request did (the trace
+    // ring). Principals and objects appear as keyed fingerprints:
+    // stable across events (bob's denied read carries the same ids as
+    // his earlier allowed one) but not invertible outside the enclave.
+    println!("--- introspection report (JSON) ---");
+    print!("{}", server.introspect());
 
     let verified = server.audit_verify()?;
     println!("--- audit trail ({verified} records, chain verified) ---");

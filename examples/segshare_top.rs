@@ -1,11 +1,14 @@
-//! `segshare_top`: a live text dashboard over the seg-watch plane.
+//! `segshare_top`: a live text dashboard over the introspection
+//! substrate.
 //!
 //! Drives a mixed workload (hot-path contention, membership churn,
 //! disjoint traffic) against an in-memory server and, a few times per
 //! second, prints windowed rates from `Snapshot::delta` — requests/s
-//! and p95 per operation, lock wait attributed by key class, the
-//! saturation gauges, and the most contended lock stripes. Ends with
-//! the watch plane's correlated report summary.
+//! and p95 per operation, lock wait attributed by key class — plus the
+//! front end's gauges, and reads everything else from one
+//! `introspect()` report: saturation, the health verdict, the heaviest
+//! tenants, and the most contended lock stripes. Ends by checking that
+//! report.
 //!
 //! Run with: `cargo run --release --example segshare_top`
 //!
@@ -100,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             std::thread::sleep(TICK);
             let snap = server.metrics_snapshot();
             let win = snap.delta(&prev);
-            print_window(&server, &win, TICK);
+            print_window(&server, &snap, &win, TICK);
             prev = snap;
         }
         stop.store(true, Ordering::Relaxed);
@@ -108,73 +111,83 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     })?;
     server.stop_health();
 
-    // Final health verdict over the whole run: a clean mixed workload
-    // must scrub clean and stay in the healthy state.
-    let health = server.enclave().health();
-    println!("--- health ---");
+    // The final report: the same document the stall watchdog stores.
+    // A clean mixed workload must scrub clean, every request must be
+    // attributed, and no operand from the workload above may appear.
+    let doc = server.introspect();
+    let health = field(&doc, "health");
+    let attributed = field(field(&doc, "attribution"), "samples");
+    println!("--- introspection report ---");
     println!(
-        "  state {}  scrub passes {}  findings {}  canary {}/{} ok  slo alerts {}",
-        health.state_label(),
-        health.scrub_passes(),
-        health.findings_total(),
-        health.canary_probes() - health.canary_failures(),
-        health.canary_probes(),
-        health.monitor().alerts().total(),
+        "  {} bytes; stalls {}; health {}, scrub passes {}; {attributed} requests attributed",
+        doc.len(),
+        field(&doc, "stalls"),
+        field(health, "state"),
+        field(field(health, "scrub"), "passes"),
     );
-    assert_eq!(health.findings_total(), 0, "clean workload scrubs clean");
-
-    // Final correlated bundle: the same report the stall watchdog dumps.
-    let report = server.watch_report();
-    let stats = server.watch_stats();
-    println!("--- watch report ---");
-    println!(
-        "  {} bytes; stalls: request {} / global {}; automatic dumps {}",
-        report.len(),
-        stats.stalls_request(),
-        stats.stalls_global(),
-        stats.dumps()
+    // `failing` latches exactly when the scrubber has a finding.
+    assert_ne!(
+        field(health, "state"),
+        "\"failing\"",
+        "clean workload scrubs clean"
     );
+    assert_ne!(attributed, "0", "workload was attributed");
     for section in [
-        "\"flight\"",
-        "\"lock_top\"",
-        "\"trace_tail\"",
-        "\"profile\"",
+        "saturation",
+        "stalls",
+        "locks",
+        "history",
+        "attribution",
+        "health",
+        "trace_tail",
+        "slow_requests",
+        "profile",
     ] {
-        assert!(report.contains(section), "report missing {section}");
+        assert!(!field(&doc, section).is_empty(), "report missing {section}");
     }
-    assert!(
-        !report.contains("hot") && !report.contains("alice"),
-        "watch report must never carry request operands"
-    );
-    println!("  (checked: report complete, no request content)");
-
-    // The meter's view of the same run: every request attributed, and
-    // the report carries fingerprints only — no path, group, or user
-    // operand from the workload above.
-    let meter_report = server.meter_report();
-    println!("--- meter report ---");
-    println!(
-        "  {} bytes; {} requests attributed",
-        meter_report.len(),
-        server.enclave().meter().samples(),
-    );
-    assert!(
-        server.enclave().meter().samples() > 0,
-        "workload was metered"
-    );
-    assert!(
-        !meter_report.contains("hot")
-            && !meter_report.contains("cold")
-            && !meter_report.contains("alice")
-            && !meter_report.contains("team"),
-        "meter report must never carry request operands"
-    );
-    println!("  (checked: requests attributed, no request content)");
+    for operand in ["hot", "cold", "alice", "team"] {
+        assert!(
+            !doc.contains(operand),
+            "report carries the operand {operand:?}"
+        );
+    }
+    println!("  (checked: report complete, clean scrub, requests attributed, no request content)");
     Ok(())
 }
 
-/// Prints one dashboard frame from a windowed snapshot delta.
-fn print_window(server: &segshare::SegShareServer, win: &Snapshot, tick: Duration) {
+/// The raw JSON value of the first `"key":` in `doc` — a number, a
+/// string (quotes kept), or a balanced object/array; empty if absent.
+/// Enough to read the introspection report's fixed layout.
+fn field<'a>(doc: &'a str, key: &str) -> &'a str {
+    let Some(at) = doc.find(&format!("\"{key}\":")) else {
+        return "";
+    };
+    let rest = &doc[at + key.len() + 3..];
+    let (mut depth, mut in_str, mut escaped) = (0usize, false, false);
+    for (i, c) in rest.char_indices() {
+        match c {
+            _ if escaped => escaped = false,
+            '\\' => escaped = true,
+            '"' => in_str = !in_str,
+            _ if in_str => {}
+            '{' | '[' => depth += 1,
+            '}' | ']' if depth <= 1 => return &rest[..i + depth],
+            '}' | ']' => depth -= 1,
+            ',' | '\n' if depth == 0 => return &rest[..i],
+            _ => {}
+        }
+    }
+    rest
+}
+
+/// Prints one dashboard frame: windowed rates from the snapshot delta,
+/// front-end gauges from the snapshot, the rest from `introspect()`.
+fn print_window(
+    server: &segshare::SegShareServer,
+    snap: &Snapshot,
+    win: &Snapshot,
+    tick: Duration,
+) {
     let secs = tick.as_secs_f64();
     println!("── segshare top ─────────────────────────────────────────");
 
@@ -213,89 +226,96 @@ fn print_window(server: &segshare::SegShareServer, win: &Snapshot, tick: Duratio
         }
     }
 
-    // Saturation gauges are levels, not rates: read them live.
-    let stats = server.watch_stats();
-    let net = stats.net_meter();
+    // Saturation levels, from the report.
+    let doc = server.introspect();
+    let sat = field(&doc, "saturation");
+    let locks = field(&doc, "locks");
     println!(
         "  sessions {}  in-flight {}  backlog {}  queued {} B  global held {} µs",
-        stats.live_sessions(),
-        stats.in_flight(),
-        stats.accept_backlog(),
-        net.queued_bytes(),
-        server.enclave().locks().global_held_us(),
+        field(sat, "live_sessions"),
+        field(sat, "in_flight"),
+        field(sat, "accept_backlog"),
+        field(sat, "queued_bytes"),
+        field(locks, "global_held_us"),
     );
 
-    // Front end: the reactor's per-state connection gauges (the
-    // seg_net_conns{state=...} family), dispatch queue depth, and the
-    // lifecycle counters operators alert on (sheds, idle reaps).
-    if let Some(r) = stats.reactor_stats() {
-        use seg_net::reactor::ConnState;
+    // Front end: the reactor's per-state connection gauges, dispatch
+    // queue depth, and the lifecycle counters operators alert on.
+    // Absent under the threaded front end.
+    let gauge = |name: &str| snap.gauge(name).unwrap_or(0);
+    let counter = |name: &str| snap.counter(name).unwrap_or(0);
+    if snap.gauge("seg_net_dispatch_depth").is_some() {
+        let conns = |state: &str| gauge(&format!("seg_net_conns{{state=\"{state}\"}}"));
         println!(
-            "  front end: {} conns (hs {}  streaming {}  draining {})  dispatch q {}",
-            r.live_conns(),
-            r.conns_in(ConnState::Handshaking),
-            r.conns_in(ConnState::Streaming),
-            r.conns_in(ConnState::Draining),
-            r.dispatch_depth(),
+            "  front end: hs {}  streaming {}  draining {}  dispatch q {}",
+            conns("handshaking"),
+            conns("streaming"),
+            conns("draining"),
+            gauge("seg_net_dispatch_depth"),
         );
         println!(
             "  front end: accepted {}  closed {}  shed {}  idle-reaped {}  outq {} B",
-            r.accepted_total(),
-            r.closed_total(),
-            stats.sheds(),
-            r.reaped_idle_total(),
-            r.outq_bytes(),
+            counter("seg_net_conns_accepted_total"),
+            counter("seg_net_conns_closed_total"),
+            counter("seg_net_sheds_total"),
+            counter("seg_net_conns_reaped_idle_total"),
+            gauge("seg_net_outq_bytes"),
         );
     }
 
-    // Health plane: state machine verdict, scrub progress, canary
-    // round-trips, and any firing SLO burn-rate alerts.
-    let health = server.enclave().health();
+    // Health verdict, scrub progress, canary round-trips, and firing
+    // SLO burn-rate alerts.
+    let health = field(&doc, "health");
+    let canary = field(health, "canary");
     println!(
-        "  health {}  scrub passes {}  findings {}  canary {}/{}  slo active {}",
-        health.state_label(),
-        health.scrub_passes(),
-        health.findings_total(),
-        health.canary_probes() - health.canary_failures(),
-        health.canary_probes(),
-        health.monitor().active_alerts(),
+        "  health {}  scrub passes {}  canary {} probes / {} failed  slo active {}",
+        field(health, "state").trim_matches('"'),
+        field(field(health, "scrub"), "passes"),
+        field(canary, "probes"),
+        field(canary, "failures"),
+        field(field(health, "alerts"), "active"),
     );
 
-    // Tenants: the meter plane's heaviest principals, groups, and path
-    // prefixes (cumulative op estimates; keys are keyed fingerprints,
-    // `~err` marks a slot's SpaceSaving over-count bound).
-    let meter = server.enclave().meter();
-    let fmt_top = |slots: Vec<seg_obs::MeterSlot>| -> String {
-        slots
-            .iter()
-            .map(|s| {
-                if s.err > 0 {
-                    format!("{:016x} {}op~{}", s.fp, s.est, s.err)
-                } else {
-                    format!("{:016x} {}op", s.fp, s.est)
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    println!("  tenants ({} requests metered):", meter.samples());
-    for (axis, top) in [
-        ("talkers", meter.top_principals(3)),
-        ("groups", meter.top_groups(3)),
-        ("prefixes", meter.top_prefixes(3)),
+    // Tenants: the heaviest keys per attribution axis (op estimates;
+    // keys are keyed fingerprints, `~err` marks a slot's SpaceSaving
+    // over-count bound).
+    let attribution = field(&doc, "attribution");
+    println!(
+        "  tenants ({} requests attributed):",
+        field(attribution, "samples")
+    );
+    for (label, axis) in [
+        ("talkers", "principals"),
+        ("groups", "groups"),
+        ("prefixes", "prefixes"),
+        ("objects", "objects"),
     ] {
+        let top: Vec<String> = field(field(attribution, axis), "top")
+            .split("{\"fp\":")
+            .skip(1)
+            .take(3)
+            .map(|slot| match field(slot, "err") {
+                "0" => format!("{} {}op", &slot[1..17], field(slot, "ops_est")),
+                err => format!("{} {}op~{err}", &slot[1..17], field(slot, "ops_est")),
+            })
+            .collect();
         if !top.is_empty() {
-            println!("    {axis:<9} {}", fmt_top(top));
+            println!("    {label:<9} {}", top.join("  "));
         }
     }
 
-    // Cumulative top contended stripes.
-    let top = server.enclave().locks().contended_stripes(3);
-    if !top.is_empty() {
-        let rendered: Vec<String> = top
-            .iter()
-            .map(|s| format!("#{} {:.2}ms/{}", s.stripe, s.wait_ns as f64 / 1e6, s.waits))
-            .collect();
-        println!("  hot stripes: {}", rendered.join("  "));
+    // The most contended lock stripes since launch.
+    let stripes: Vec<String> = field(locks, "top_stripes")
+        .split("{\"stripe\":")
+        .skip(1)
+        .take(3)
+        .map(|row| {
+            let wait_ns: f64 = field(row, "wait_ns").parse().unwrap_or(0.0);
+            let stripe = row.split(',').next().unwrap_or("?");
+            format!("#{stripe} {:.2}ms/{}", wait_ns / 1e6, field(row, "waits"))
+        })
+        .collect();
+    if !stripes.is_empty() {
+        println!("  hot stripes: {}", stripes.join("  "));
     }
 }

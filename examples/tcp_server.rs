@@ -5,22 +5,16 @@
 //!
 //! Run with: `cargo run --release --example tcp_server`
 //!
-//! Pass `--metrics` to print the server's telemetry snapshot
-//! (Prometheus exposition text) after the demo traffic completes,
-//! `--trace` to print the structured request trace (JSON, newest
-//! events last) plus the audit-chain verification result,
-//! `--profile` to print the phase profiler's flamegraph-collapsed
-//! output plus a per-phase breakdown of the 1 MB upload,
-//! `--watch` to print the seg-watch plane's saturation gauges and its
-//! correlated contention report (flight-recorder ring, lock top-K,
-//! trace tail, profile — one JSON bundle), and
-//! `--health` to run the background health plane (SLO sampler,
-//! integrity scrubber, loopback canary) and print its report, and
-//! `--meter` to print the seg-meter plane's per-principal/group/prefix
-//! cost attribution report (top-K talkers + fairness summary), and
-//! `--store wal:<dir>` to back the server with the crash-consistent
-//! write-ahead-logged store (group commit on) instead of in-memory
-//! stores — data in `<dir>` survives server restarts, and
+//! Pass `--introspect` to run the background health runner (history
+//! sampler, integrity scrubber, loopback canary) alongside the demo,
+//! then print the Prometheus exposition, the audit-chain verification
+//! result, and the one introspection report (saturation, stalls, lock
+//! top-K, history, attribution, health verdict, trace tail, slow log,
+//! profile), checking that every section is present, the server is
+//! healthy, the demo principals are attributed, and no request operand
+//! appears. Pass `--store wal:<dir>` to back the server with the
+//! crash-consistent write-ahead-logged store (group commit on) instead
+//! of in-memory stores — data in `<dir>` survives server restarts — and
 //! `--threaded` to serve connections on the legacy thread-per-connection
 //! front end instead of the event-driven reactor (`--reactor`, the
 //! default: one epoll loop plus a bounded enclave worker pool; see
@@ -30,15 +24,11 @@ use std::net::TcpListener;
 use std::sync::Arc;
 
 use seg_net::TcpTransport;
+use seg_obs::meter::Axis;
 use segshare::{Client, EnclaveConfig, FsoSetup, HealthOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let metrics = std::env::args().any(|a| a == "--metrics");
-    let trace = std::env::args().any(|a| a == "--trace");
-    let profile = std::env::args().any(|a| a == "--profile");
-    let watch = std::env::args().any(|a| a == "--watch");
-    let health = std::env::args().any(|a| a == "--health");
-    let meter = std::env::args().any(|a| a == "--meter");
+    let introspect = std::env::args().any(|a| a == "--introspect");
     // Front end: the reactor is the default; `--threaded` (or
     // SEGSHARE_FRONTEND=threaded, which CI's matrix uses) selects the
     // seed-era thread-per-connection loop. `--reactor` forces the
@@ -52,11 +42,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or_else(|| "mem".to_string());
     // Cache on: the Prometheus exposition below then includes the
     // seg_cache_* counter family alongside the request/store metrics.
-    // An aggressive scrub cadence lets `--health` complete full
+    // An aggressive scrub cadence lets `--introspect` complete full
     // integrity passes within the demo's lifetime.
     let config = EnclaveConfig {
         cache: true,
-        scrub_interval_us: if health { 10_000 } else { 1_000_000 },
+        scrub_interval_us: if introspect { 10_000 } else { 1_000_000 },
         // Durable backend: batch requests so one client request is one
         // group-committed (singly-fsynced) WAL frame.
         batch: store.starts_with("wal:"),
@@ -73,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let server = Arc::new(setup.server()?);
     let alice = setup.enroll_user("alice", "a@x", "Alice")?;
-    if health {
+    if introspect {
         let canary = setup.enroll_user("canary", "canary@x", "Canary")?;
         server.start_health(HealthOptions {
             canary: Some(canary),
@@ -98,9 +88,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(stream) = stream else { continue };
-                // The accept loop feeds the watch plane's backlog
+                // The accept loop feeds the saturation backlog
                 // gauge; the session's serve loop dequeues it.
-                server.watch_stats().accept_queued();
+                server.enclave().watch().accept_queued();
                 let server = Arc::clone(&server);
                 std::thread::spawn(move || {
                     let _ = server.handle_connection(TcpTransport::new(stream));
@@ -139,123 +129,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {} {}", if entry.is_dir { "d" } else { "-" }, entry.name);
     }
 
-    if metrics {
+    if introspect {
         println!("\n--- metrics snapshot ---");
         print!("{}", server.metrics_snapshot().to_prometheus());
-    }
-    if trace {
-        // Everything printed here crossed a declassification point:
-        // interned operation labels and keyed fingerprints only.
-        println!("\n--- request trace (newest 64) ---");
-        print!("{}", seg_obs::events_json(&server.trace_tail(64)));
-        println!("--- slow requests ---");
-        print!("{}", seg_obs::events_json(&server.slow_requests(16)));
         match server.audit_verify() {
             Ok(n) => println!("audit chain verified: {n} records"),
             Err(e) => println!("audit chain FAILED verification: {e}"),
         }
-    }
-    if profile {
-        // The snapshot is a declassification point: paths are
-        // compiled-in phase names, values are aggregated durations.
-        let prof = server.profile_snapshot();
-        println!("\n--- phase profile (flamegraph-collapsed) ---");
-        print!("{}", prof.to_collapsed());
-
-        // The 1 MB upload above arrived as one put_file request plus
-        // its streamed data chunks; fold both into one breakdown.
-        let upload_ops = ["put_file", "data"];
-        let wall_ns: u64 = upload_ops.iter().map(|op| prof.op_total_ns(op)).sum();
-        let self_sum_ns: u64 = upload_ops
-            .iter()
-            .flat_map(|op| prof.op_entries(op))
-            .map(|e| e.self_ns)
-            .sum();
-        println!("\n--- 1 MB upload phase breakdown (self time) ---");
-        for (leaf, ns) in prof.phase_breakdown(&upload_ops) {
-            println!(
-                "  {leaf:<14} {:>9.3} ms  {:>5.1}%",
-                ns as f64 / 1e6,
-                ns as f64 * 100.0 / wall_ns.max(1) as f64
-            );
-        }
-        println!(
-            "  enclave-side wall-clock {:.3} ms; phase self-times sum to {:.3} ms ({:.1}%)",
-            wall_ns as f64 / 1e6,
-            self_sum_ns as f64 / 1e6,
-            self_sum_ns as f64 * 100.0 / wall_ns.max(1) as f64,
-        );
-        // Sanity-check the attribution: nothing lost, nothing double
-        // counted, and the top phase is one of the two known heavy
-        // hitters. Measured profiles (BENCH_perf.json) put
-        // rollback_tree self-time ~3.6x crypto_gcm across the op mix —
-        // the hash-record update per chunk, not AES-GCM, is the
-        // bottleneck — so asserting crypto dominance would be stale.
-        let drift = (wall_ns as f64 - self_sum_ns as f64).abs() / wall_ns.max(1) as f64;
-        assert!(
-            drift <= 0.10,
-            "phase self-times must account for the request wall-clock (drift {drift:.3})"
-        );
-        let dominant = prof
-            .phase_breakdown(&upload_ops)
-            .first()
-            .map(|&(leaf, _)| leaf);
-        assert!(
-            matches!(dominant, Some("rollback_tree") | Some("crypto_gcm")),
-            "a 1 MB upload is dominated by integrity or crypto work, got {dominant:?}"
-        );
-        println!(
-            "  (checked: dominant phase is {}, self-times account for the wall-clock)",
-            dominant.unwrap_or("?")
-        );
-    }
-    if watch {
-        let stats = server.watch_stats();
-        println!("\n--- watch plane (saturation) ---");
-        println!(
-            "  live sessions {}  in-flight {}  accept backlog {}",
-            stats.live_sessions(),
-            stats.in_flight(),
-            stats.accept_backlog()
-        );
-        let net = stats.net_meter();
-        println!(
-            "  sent {} B  queued {} B  send stalls {} ({:.1} ms stalled)",
-            net.sent_bytes(),
-            net.queued_bytes(),
-            net.send_stalls(),
-            net.send_stall_ns() as f64 / 1e6
-        );
-        if let Some(r) = stats.reactor_stats() {
-            println!(
-                "  reactor: {} live conns ({} accepted, {} closed, {} shed, {} idle-reaped)",
-                r.live_conns(),
-                r.accepted_total(),
-                r.closed_total(),
-                stats.sheds(),
-                r.reaped_idle_total()
-            );
-        }
-        let report = server.watch_report();
-        println!("--- watch report (correlated bundle) ---");
-        println!("{report}");
-        // The report is the widest export the server offers; sanity
-        // check it is complete and honors the trust boundary.
-        for section in [
-            "\"flight\"",
-            "\"lock_top\"",
-            "\"trace_tail\"",
-            "\"profile\"",
-        ] {
-            assert!(report.contains(section), "report missing {section}");
-        }
-        assert!(
-            !report.contains("over-tcp") && !report.contains("alice"),
-            "watch report must never carry request operands"
-        );
-        println!("  (checked: report complete, no request content)");
-    }
-    if health {
         // Let the background runner finish at least one full scrub
         // pass and a few canary probes over the idle server.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
@@ -270,69 +150,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
-        let report = server.health_report();
-        println!("\n--- health report (SLO + scrub + canary) ---");
+        server.stop_health();
+        let report = server.introspect();
+        println!("\n--- introspection report ---");
         println!("{report}");
-        // The report is a declassification point like the others:
-        // states, counters and fingerprints — never request content.
+        // The report is the widest export the server offers; check it
+        // is complete and honors the trust boundary: compiled-in names,
+        // counters and fingerprints — never request operands.
         for section in [
-            "\"state\"",
-            "\"scrub\"",
-            "\"canary\"",
-            "\"slo\"",
+            "\"saturation\"",
+            "\"stalls\"",
+            "\"locks\"",
             "\"history\"",
+            "\"attribution\"",
+            "\"health\"",
+            "\"trace_tail\"",
+            "\"slow_requests\"",
+            "\"profile\"",
         ] {
             assert!(report.contains(section), "report missing {section}");
         }
         assert!(
             !report.contains("over-tcp") && !report.contains("alice"),
-            "health report must never carry request operands"
+            "the introspection report must never carry request operands"
         );
         assert!(
             report.contains("\"state\":\"healthy\""),
             "an untampered demo server is healthy"
         );
-        server.stop_health();
-        println!("  (checked: report complete, server healthy, no request content)");
-    }
-    if meter {
-        let report = server.meter_report();
-        println!("\n--- meter report (per-tenant cost attribution) ---");
-        println!("{report}");
-        // Declassification check, same as the other planes: axes,
-        // rollups and fingerprints — never request operands.
-        for section in [
-            "\"totals\"",
-            "\"principals\"",
-            "\"groups\"",
-            "\"prefixes\"",
-            "\"fairness\"",
-        ] {
-            assert!(report.contains(section), "report missing {section}");
-        }
-        assert!(
-            !report.contains("over-tcp") && !report.contains("alice"),
-            "meter report must never carry request operands"
-        );
-        // The demo traffic ran as one principal (plus the canary when
-        // `--health` is on); the sketch must have attributed exactly
-        // those talkers.
-        let tracked = report
-            .find("\"principals\":{\"tracked\":")
-            .map(|at| {
-                report[at + 24..]
-                    .chars()
-                    .take_while(char::is_ascii_digit)
-                    .collect::<String>()
-            })
-            .and_then(|n| n.parse::<u64>().ok())
-            .expect("report carries the principal slot count");
-        let expected = if health { 2 } else { 1 };
+        // The demo traffic ran as one principal plus the canary; the
+        // sketch must have attributed exactly those talkers.
+        let talkers = server.enclave().meter().stats(Axis::Principal).tracked;
         assert_eq!(
-            tracked, expected,
+            talkers, 2,
             "the demo principals must be tracked, nothing else"
         );
-        println!("  (checked: report complete, demo principal attributed, no request content)");
+        println!("  (checked: report complete, server healthy, principals attributed, no request content)");
     }
     Ok(())
 }

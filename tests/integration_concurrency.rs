@@ -528,16 +528,18 @@ fn watchdog_stall_dumps_a_correlated_bundle_without_leaking_content() {
     a.put("/plans-secret", b"q3-report body").unwrap();
     assert_eq!(a.get("/plans-secret").unwrap(), b"q3-report body");
 
-    let watch = server.watch_stats();
+    let watch = server.enclave().watch();
     assert!(watch.stalls_request() > 0, "the deadline must have tripped");
     assert!(watch.dumps() > 0, "the first stall captures a dump");
-    let dump = server.watch_dump().expect("dump stored");
+    let dump = server.enclave().watch().last_dump().expect("dump stored");
     for section in [
         "\"saturation\"",
         "\"stalls\"",
         "\"global_held_us\"",
-        "\"lock_top\"",
-        "\"flight\"",
+        "\"locks\"",
+        "\"history\"",
+        "\"attribution\"",
+        "\"health\"",
         "\"trace_tail\"",
         "\"slow_requests\"",
         "\"profile\"",
@@ -552,9 +554,9 @@ fn watchdog_stall_dumps_a_correlated_bundle_without_leaking_content() {
     }
     assert!(!dump.contains('@'), "watch dump leaked an email");
 
-    // The on-demand report is the same bundle and honors the same
+    // The on-demand report is the same document and honors the same
     // boundary.
-    let report = server.watch_report();
-    assert!(report.contains("\"flight\""));
+    let report = server.introspect();
+    assert!(report.contains("\"history\""));
     assert!(!report.contains("plans-secret") && !report.contains('@'));
 }

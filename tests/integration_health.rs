@@ -84,7 +84,7 @@ fn clean_stationary_workload_stays_healthy_with_zero_alerts() {
         health.items(ScrubCheck::Audit) > 0,
         "the audit chain was re-verified"
     );
-    let report = r.server.health_report();
+    let report = r.server.introspect();
     assert!(report.contains("\"state\":\"healthy\""));
     assert!(report.contains("\"history\""));
 }
@@ -118,7 +118,7 @@ fn content_bitflip_latches_failing_with_fingerprint_only_alert() {
 
     // The alert and report are correlated but leak nothing: compiled-in
     // names and keyed fingerprints only — never paths or user ids.
-    let report = r.server.health_report();
+    let report = r.server.introspect();
     assert!(report.contains("scrub_integrity"));
     assert!(!report.contains("payroll"), "no plaintext paths");
     assert!(!report.contains("salaries"), "no plaintext names");
@@ -309,7 +309,7 @@ fn health_runner_scrubs_probes_and_samples_an_idle_server() {
             .unwrap_or(0)
             >= 3
     );
-    let report = r.server.health_report();
+    let report = r.server.introspect();
     assert!(report.contains("\"state\":\"healthy\""));
     assert!(report.contains("\"canary\""));
 }
@@ -317,14 +317,14 @@ fn health_runner_scrubs_probes_and_samples_an_idle_server() {
 #[test]
 fn disabled_health_plane_is_inert() {
     let r = rig(EnclaveConfig::default(), 707);
-    r.server.set_health(false);
+    r.server.set_introspection(false);
     assert!(r.server.enclave().health_tick().is_none());
     let health = r.server.enclave().health();
-    assert!(!health.enabled());
+    assert!(!r.server.enclave().introspection_enabled());
     assert_eq!(health.scrub_passes(), 0);
     // The report still renders (state machine reads, no scrub work).
-    let report = r.server.health_report();
+    let report = r.server.introspect();
     assert!(report.contains("\"enabled\":false"));
-    r.server.set_health(true);
-    assert!(health.enabled());
+    r.server.set_introspection(true);
+    assert!(r.server.enclave().introspection_enabled());
 }

@@ -1,15 +1,16 @@
-//! Metering integration: the seg-meter plane's attribution accuracy,
+//! Attribution integration: the seg-meter sketch's accuracy,
 //! cardinality bound, and trust-boundary behaviour over a real server.
 //!
-//! Three contract points:
+//! Four contract points:
 //!
 //! 1. heavy-hitter recall — a Zipf(1.0) workload over 1,000 principals
 //!    squeezed into 64 slots still surfaces ≥ 9 of the true top-10 in
-//!    `meter_report()`;
+//!    the report; and a heavy hitter that arrives after every slot is
+//!    taken is still attributed exactly;
 //! 2. fixed memory — tracked keys never exceed [`METER_SLOTS`] per
 //!    axis no matter how many principals appear, and the report stays
 //!    bounded in size;
-//! 3. no operand leak — neither `meter_report()` nor the Prometheus
+//! 3. no operand leak — neither `introspect()` nor the Prometheus
 //!    export carries a raw principal, group, or path operand (paper
 //!    §III: everything leaving the enclave is adversary-visible).
 //!
@@ -18,6 +19,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
+use seg_obs::meter::Axis;
 use seg_obs::{CostVector, Meter, MeterAxis, METER_SLOTS};
 use segshare::{EnclaveConfig, FsoSetup};
 
@@ -39,11 +41,16 @@ fn report_fps(report: &str, section: &str) -> Vec<u64> {
     // The per-axis sections are emitted in order; cut at the next
     // top-level axis (or fairness) key to scope the scan.
     let rest = &report[start + section.len() + 4..];
-    let end = ["\"groups\":{", "\"prefixes\":{", "\"fairness\":{"]
-        .iter()
-        .filter_map(|k| rest.find(k))
-        .min()
-        .unwrap_or(rest.len());
+    let end = [
+        "\"groups\":{",
+        "\"prefixes\":{",
+        "\"objects\":{",
+        "\"fairness\":{",
+    ]
+    .iter()
+    .filter_map(|k| rest.find(k))
+    .min()
+    .unwrap_or(rest.len());
     let scoped = &rest[..end];
     let mut fps = Vec::new();
     let mut at = 0;
@@ -63,7 +70,7 @@ fn report_fps(report: &str, section: &str) -> Vec<u64> {
 fn zipf_thousand_principals_recovered_from_report() {
     // The tentpole acceptance bar, end to end through the report:
     // Zipf(1.0), 1,000 principals, 64 slots — `report_json()` (the
-    // exact producer behind `SegShareServer::meter_report`) must name
+    // producer of `SegShareServer::introspect`'s attribution) must name
     // at least 9 of the true top-10 principals by op count.
     let n = 1_000usize;
     let weights: Vec<f64> = (1..=n).map(|r| 1.0 / r as f64).collect();
@@ -83,14 +90,14 @@ fn zipf_thousand_principals_recovered_from_report() {
         state ^= state << 17;
         (state >> 11) as f64 / (1u64 << 53) as f64
     };
-    let meter = Meter::new(true);
+    let meter = Meter::default();
     let mut truth = vec![0u64; n + 1];
     for _ in 0..60_000 {
         let u = next();
         let rank = cdf.partition_point(|&c| c < u).min(n - 1);
         let fp = (rank as u64 + 1).wrapping_mul(0x0101_0101_0101_0101);
         truth[rank + 1] += 1;
-        meter.record(fp, 0, 0, &unit_cost(32));
+        meter.record([fp, 0, 0, 0], &unit_cost(32));
     }
 
     let mut ranked: Vec<(u64, u64)> = (1..=n as u64).map(|r| (truth[r as usize], r)).collect();
@@ -106,32 +113,28 @@ fn zipf_thousand_principals_recovered_from_report() {
     );
 
     // Memory stays fixed: 1,000 distinct principals, ≤ 64 tracked.
-    let stats = meter.stats();
-    assert!(stats.principals.tracked <= METER_SLOTS as u64);
-    assert!(stats.principals.evictions > 0, "sketch was under pressure");
+    let stats = meter.stats(Axis::Principal);
+    assert!(stats.tracked <= METER_SLOTS as u64);
+    assert!(stats.evictions > 0, "sketch was under pressure");
 }
 
 #[test]
 fn metering_memory_is_fixed_as_principals_grow() {
     // Grow the principal population 50x past capacity: tracked slots
     // and the report's size must not grow with it.
-    let meter = Meter::new(true);
+    let meter = Meter::default();
     for i in 1..=200u64 {
-        meter.record(i, i, i, &unit_cost(16));
+        meter.record([i, i, i, i], &unit_cost(16));
     }
     let small_report_len = meter.report_json().len();
     for i in 1..=10_000u64 {
-        meter.record(i, i % 97 + 1, i % 31 + 1, &unit_cost(16));
+        meter.record([i, i % 97 + 1, i % 31 + 1, i], &unit_cost(16));
     }
-    let stats = meter.stats();
-    for (axis, s) in [
-        ("principal", &stats.principals),
-        ("group", &stats.groups),
-        ("prefix", &stats.prefixes),
-    ] {
+    for axis in Axis::ALL {
+        let s = meter.stats(axis);
         assert!(
             s.tracked <= METER_SLOTS as u64,
-            "{axis} axis tracks {} > {METER_SLOTS} keys",
+            "{axis:?} axis tracks {} > {METER_SLOTS} keys",
             s.tracked
         );
     }
@@ -190,9 +193,9 @@ fn meter_exports_carry_no_request_operands() {
     drop(b);
     std::thread::sleep(std::time::Duration::from_millis(100));
 
-    let report = server.meter_report();
+    let report = server.introspect();
     let prometheus = server.metrics_snapshot().to_prometheus();
-    for (name, text) in [("meter_report", &report), ("prometheus", &prometheus)] {
+    for (name, text) in [("introspect", &report), ("prometheus", &prometheus)] {
         for secret in SECRETS {
             assert!(!text.contains(secret), "{name} leaks {secret:?}");
         }
@@ -215,6 +218,48 @@ fn meter_exports_carry_no_request_operands() {
         !report_fps(&report, "prefixes").is_empty(),
         "prefix attributed"
     );
+}
+
+#[test]
+fn late_heavy_hitter_is_attributed_exactly() {
+    // 64 principals take every principal slot with one request each;
+    // then a 65th makes 100 failing requests. A first-come table would
+    // pin the early 64 and fold the late heavy hitter into overflow —
+    // the sketch must report its requests and errors exactly.
+    let setup = FsoSetup::new_in_memory("late-ca", EnclaveConfig::default());
+    let server = setup.server().expect("setup");
+    for i in 0..64 {
+        let name = format!("early{i:02}");
+        let user = setup
+            .enroll_user(&name, &format!("{name}@x"), &name)
+            .expect("enroll");
+        let mut c = server.connect_local(&user).expect("connect");
+        c.mkdir(&format!("/{name}")).expect("mkdir");
+    }
+    let late = setup.enroll_user("late", "late@x", "Late").expect("enroll");
+    let mut c = server.connect_local(&late).expect("connect");
+    for _ in 0..100 {
+        assert!(c.get("/absent").is_err(), "the request fails");
+    }
+    drop(c);
+
+    let fp = server
+        .enclave()
+        .fingerprint_user(&seg_fs::UserId::new("late").expect("valid id"));
+    let report = server.introspect();
+    assert!(report_fps(&report, "principals").contains(&fp), "{report}");
+    let slot = &report[report.find(&format!("\"fp\":\"{fp:016x}\"")).unwrap()..];
+    let costs = &slot[slot.find("\"costs\":").unwrap()..slot.find('}').unwrap()];
+    let dim = |name: &str| -> u64 {
+        let at = costs.find(&format!("\"{name}\":")).unwrap() + name.len() + 3;
+        costs[at..]
+            .split(|c: char| !c.is_ascii_digit())
+            .next()
+            .unwrap()
+            .parse()
+            .unwrap()
+    };
+    assert_eq!((dim("ops"), dim("errors")), (100, 100), "{costs}");
 }
 
 proptest! {

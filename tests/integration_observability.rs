@@ -218,8 +218,7 @@ fn watch_plane_families_always_export_with_clean_labels() {
         "seg_net_send_stall_ns_total",
         "seg_watch_stalls_total",
         "seg_watch_dumps_total",
-        "seg_watch_enabled",
-        "seg_flight_frames_total",
+        "seg_introspection_enabled",
         // Cache gauges export as zero even with the cache disabled.
         "seg_cache_entries",
         "seg_cache_bytes",
@@ -229,7 +228,6 @@ fn watch_plane_families_always_export_with_clean_labels() {
         "seg_health_canary_probes_total",
         "seg_health_canary_failures_total",
         "seg_health_state",
-        "seg_health_enabled",
         "seg_health_rollup_slots",
         "seg_health_canary_latency_us",
         "seg_slo_alerts_total",
@@ -245,9 +243,8 @@ fn watch_plane_families_always_export_with_clean_labels() {
         "seg_store_batch_ops_total",
         "seg_store_fsyncs_total",
         "seg_store_fsync_bytes_total",
-        // Meter-plane families export in every configuration so the
-        // series set stays stable whether metering is on or off.
-        "seg_meter_enabled",
+        // Attribution families export in every configuration so the
+        // series set stays stable whether introspection is on or off.
         "seg_meter_samples_total",
         "seg_meter_tracked",
         "seg_meter_min_tracked_ops",
@@ -261,17 +258,19 @@ fn watch_plane_families_always_export_with_clean_labels() {
     }
 
     let snap = server.metrics_snapshot();
-    assert_eq!(snap.gauge("seg_watch_enabled"), Some(1), "always-on");
+    assert_eq!(
+        snap.gauge("seg_introspection_enabled"),
+        Some(1),
+        "always-on"
+    );
     assert_eq!(snap.gauge("seg_cache_entries"), Some(0), "cache disabled");
-    assert_eq!(snap.gauge("seg_meter_enabled"), Some(1), "default config");
-    for axis in ["principal", "group", "prefix"] {
+    for axis in ["principal", "group", "prefix", "object"] {
         assert!(
             snap.gauge(&format!("seg_meter_tracked{{axis=\"{axis}\"}}"))
                 .is_some(),
             "per-axis meter gauge pre-interned for {axis}"
         );
     }
-    assert_eq!(snap.gauge("seg_health_enabled"), Some(1), "always-on");
     assert_eq!(snap.gauge("seg_health_state"), Some(0), "healthy at rest");
     // The scrub families pre-intern one series per check class, all
     // zero until a runner drives the scrubber.
@@ -328,58 +327,44 @@ fn watch_plane_families_always_export_with_clean_labels() {
 }
 
 #[test]
-fn watch_report_carries_no_request_content() {
-    // The correlated watch bundle is the widest single export the
-    // server offers (metrics + flight ring + traces + profile); it must
-    // honor the same trust boundary as each constituent export.
-    let server = run_flow();
-    let report = server.watch_report();
-    for section in [
-        "\"saturation\"",
-        "\"flight\"",
-        "\"lock_top\"",
-        "\"profile\"",
-    ] {
-        assert!(report.contains(section), "report missing {section}");
-    }
-    for secret in SECRETS {
-        assert!(!report.contains(secret), "watch report leaks {secret:?}");
-    }
-    assert!(
-        !report.contains('@'),
-        "watch report contains an email-like token"
-    );
-}
-
-#[test]
-fn health_report_carries_no_request_content() {
-    // The health bundle (verdict, scrub counters, alerts, SLO burn
-    // rates, rollup history) honors the same trust boundary.
+fn introspect_carries_no_request_content() {
+    // The introspection report is the widest single export the server
+    // offers (saturation, locks, history, attribution, health, traces,
+    // profile); it must honor the same trust boundary as each
+    // constituent export.
     let server = run_flow();
     server.enclave().scrub_step();
-    let report = server.health_report();
+    let report = server.introspect();
     for section in [
+        "\"saturation\"",
+        "\"stalls\"",
+        "\"locks\"",
+        "\"history\"",
+        "\"attribution\"",
+        "\"health\"",
+        "\"trace_tail\"",
+        "\"slow_requests\"",
+        "\"profile\"",
         "\"state\"",
         "\"scrub\"",
         "\"canary\"",
         "\"slo\"",
-        "\"history\"",
     ] {
         assert!(report.contains(section), "report missing {section}");
     }
     for secret in SECRETS {
-        assert!(!report.contains(secret), "health report leaks {secret:?}");
+        assert!(!report.contains(secret), "introspect() leaks {secret:?}");
     }
     assert!(
         !report.contains('/') && !report.contains('@'),
-        "health report contains a path- or email-like token"
+        "introspect() contains a path- or email-like token"
     );
 }
 
 #[test]
 fn trace_ring_correlates_requests_across_layers() {
     let server = run_flow();
-    let events = server.trace_tail(usize::MAX);
+    let events = server.enclave().trace_tail(usize::MAX);
     assert!(!events.is_empty(), "the flow left trace events");
 
     // Sequence numbers are strictly increasing (no torn or duplicated
@@ -465,7 +450,7 @@ fn profile_attributes_upload_wall_clock_to_phases() {
     a.put("/big", &payload).expect("upload");
     drop(a);
 
-    let prof = server.profile_snapshot();
+    let prof = server.enclave().profile_snapshot();
     assert!(!prof.entries.is_empty(), "profiler captured the flow");
     assert_eq!(prof.unbalanced, 0, "no unbalanced phase stacks");
 
@@ -499,7 +484,7 @@ fn profile_exports_carry_no_request_content() {
     // Same trust-boundary rule as the metrics encodings: phase paths
     // are compiled-in names; operands never reach the export.
     let server = run_flow();
-    let prof = server.profile_snapshot();
+    let prof = server.enclave().profile_snapshot();
     assert!(!prof.entries.is_empty());
     for encoded in [prof.to_json(), prof.to_collapsed()] {
         for secret in SECRETS {
@@ -516,14 +501,9 @@ fn meter_families_export_zeroed_when_disabled() {
     // A config with metering off must still export every seg_meter_*
     // family — all zero — so dashboards keep a stable series set and
     // an operator can see at a glance that the plane is off.
-    let setup = FsoSetup::new_in_memory(
-        "obs-meter-off",
-        EnclaveConfig {
-            meter: false,
-            ..EnclaveConfig::default()
-        },
-    );
+    let setup = FsoSetup::new_in_memory("obs-meter-off", EnclaveConfig::default());
     let server = setup.server().expect("setup");
+    server.set_introspection(false);
     let alice = setup
         .enroll_user("alice", "alice@acme.example", "Alice")
         .expect("enroll");
@@ -534,13 +514,17 @@ fn meter_families_export_zeroed_when_disabled() {
     std::thread::sleep(std::time::Duration::from_millis(100));
 
     let snap = server.metrics_snapshot();
-    assert_eq!(snap.gauge("seg_meter_enabled"), Some(0), "metering off");
+    assert_eq!(
+        snap.gauge("seg_introspection_enabled"),
+        Some(0),
+        "introspection off"
+    );
     assert_eq!(
         snap.counter("seg_meter_samples_total"),
         Some(0),
         "no request is attributed while disabled"
     );
-    for axis in ["principal", "group", "prefix"] {
+    for axis in ["principal", "group", "prefix", "object"] {
         for (family, value) in [
             (format!("seg_meter_tracked{{axis=\"{axis}\"}}"), 0),
             (format!("seg_meter_min_tracked_ops{{axis=\"{axis}\"}}"), 0),
@@ -556,7 +540,7 @@ fn meter_families_export_zeroed_when_disabled() {
     }
     // The report also exports in the disabled state — explicitly
     // marked disabled, with empty axes rather than absent sections.
-    let report = server.meter_report();
+    let report = server.introspect();
     assert!(report.contains("\"enabled\":false"), "report marks off");
     assert!(report.contains("\"samples\":0"), "report shows no samples");
 }
