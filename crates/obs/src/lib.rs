@@ -977,3 +977,97 @@ mod tests {
         assert_eq!(r.snapshot().counter("seg_frames_total"), Some(1));
     }
 }
+
+/// The retired flight recorder's contracts, checked against the owners
+/// that took over its jobs: interval-gated sampling and windowed
+/// history in the [`HealthMonitor`], per-key attribution in the
+/// [`Meter`].
+#[cfg(test)]
+mod flight {
+    mod tests {
+        use crate::meter::Axis;
+        use crate::{CostVector, HealthConfig, HealthMonitor, Meter, Registry};
+
+        #[test]
+        fn tick_if_due_respects_interval() {
+            let r = Registry::new();
+            let never = HealthMonitor::new(HealthConfig {
+                sample_interval_us: u64::MAX / 2,
+                ..HealthConfig::default()
+            });
+            // The first call sets the delta baseline; after that the
+            // interval can never elapse, so opportunistic samples no-op.
+            assert!(never.sample_if_due(&r));
+            assert!(!never.sample_if_due(&r));
+            assert_eq!(never.samples(), 1);
+            let quick = HealthMonitor::new(HealthConfig {
+                sample_interval_us: 1,
+                ..HealthConfig::default()
+            });
+            assert!(quick.sample_if_due(&r));
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            assert!(quick.sample_if_due(&r));
+            assert_eq!(quick.samples(), 2);
+        }
+
+        #[test]
+        fn zero_fingerprints_are_skipped() {
+            // A request without a principal or object operand still
+            // attributes to the axes it has a key for.
+            let meter = Meter::default();
+            let cost = CostVector {
+                ops: 1,
+                latency_us: 10,
+                ..CostVector::default()
+            };
+            meter.record([0, 5, 6, 0], &cost);
+            assert_eq!(meter.stats(Axis::Principal).tracked, 0);
+            assert_eq!(meter.stats(Axis::Object).tracked, 0);
+            assert_eq!(meter.stats(Axis::Principal).overflow_ops, 0);
+            assert_eq!(meter.stats(Axis::Group).tracked, 1);
+            assert_eq!(meter.stats(Axis::Prefix).tracked, 1);
+            assert_eq!(meter.totals().latency_us, 10);
+        }
+
+        #[test]
+        fn dump_json_is_balanced_and_fingerprints_are_hex() {
+            // The stall bundle's history and attribution sections, as
+            // the introspection report stitches them together.
+            let r = Registry::new();
+            let monitor = HealthMonitor::new(HealthConfig::default());
+            monitor.force_sample_at(&r, 1_000_000); // baseline
+            r.counter("seg_frames_total").add(2);
+            r.histogram("seg_pfs_encrypt_ns").record(500);
+            monitor.force_sample_at(&r, 2_000_000);
+            let meter = Meter::default();
+            meter.record(
+                [0xdead_beef, 0, 0, 0xcafe],
+                &CostVector {
+                    ops: 1,
+                    errors: 1,
+                    slow: 1,
+                    latency_us: 123,
+                    latency_max_us: 123,
+                    ..CostVector::default()
+                },
+            );
+            let json = format!(
+                "{{\"recent\":{},\"attribution\":{}}}",
+                monitor.recent_slots_json(16),
+                meter.report_json()
+            );
+            assert_eq!(
+                json.matches('{').count(),
+                json.matches('}').count(),
+                "{json}"
+            );
+            assert!(json.contains("\"seq\":1"), "{json}");
+            assert!(json.contains("\"seg_frames_total\":2"), "{json}");
+            assert!(json.contains("\"00000000deadbeef\""), "{json}");
+            assert!(json.contains("\"000000000000cafe\""), "{json}");
+            assert!(json.contains("\"overflow\""), "{json}");
+            assert!(!json.contains('/'), "no path separators in a dump");
+            assert!(!json.contains('@'), "no email-like tokens in a dump");
+        }
+    }
+}

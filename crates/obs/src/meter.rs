@@ -627,6 +627,31 @@ mod tests {
     }
 
     #[test]
+    fn disabled_meter_records_nothing() {
+        // The meter has no switch of its own: with introspection off the
+        // request hook never reaches it. A meter nothing has reached must
+        // read zero on every surface the exported families and the
+        // report draw from, and the first request must register.
+        let meter = Meter::default();
+        assert_eq!(meter.samples(), 0);
+        assert_eq!(meter.totals(), CostVector::default());
+        for axis in Axis::ALL {
+            let s = meter.stats(axis);
+            assert_eq!(
+                (s.tracked, s.evictions, s.overflow_ops, s.min_est),
+                (0, 0, 0, 0)
+            );
+            assert!(meter.top(axis, 16).is_empty());
+        }
+        let json = meter.report_json();
+        assert!(json.contains("\"samples\":0"), "{json}");
+        assert!(!json.contains("\"fp\""), "{json}");
+        meter.record([1, 2, 3, 4], &unit_cost());
+        assert_eq!(meter.samples(), 1);
+        assert_eq!(meter.stats(Axis::Group).tracked, 1);
+    }
+
+    #[test]
     fn zipf_workload_recovers_true_top_ten() {
         // Zipf(1.0) over 1,000 principals, 64 slots: the sketch must
         // recover at least 9 of the true top-10 by op count — the

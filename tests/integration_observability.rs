@@ -27,7 +27,12 @@ const SECRETS: &[&str] = &[
 
 /// Drives the canonical flow and returns the server for inspection.
 fn run_flow() -> SegShareServer {
-    let setup = FsoSetup::new_in_memory("obs-ca", EnclaveConfig::default());
+    run_flow_with(EnclaveConfig::default())
+}
+
+/// [`run_flow`] under an explicit enclave configuration.
+fn run_flow_with(config: EnclaveConfig) -> SegShareServer {
+    let setup = FsoSetup::new_in_memory("obs-ca", config);
     let server = setup.server().expect("setup");
     let alice = setup
         .enroll_user("alice", "alice@acme.example", "Alice")
@@ -327,37 +332,67 @@ fn watch_plane_families_always_export_with_clean_labels() {
 }
 
 #[test]
-fn introspect_carries_no_request_content() {
-    // The introspection report is the widest single export the server
-    // offers (saturation, locks, history, attribution, health, traces,
-    // profile); it must honor the same trust boundary as each
-    // constituent export.
+fn watch_report_carries_no_request_content() {
+    // The watch report — the introspection bundle the stall watchdog
+    // stores and `introspect()` returns — is the widest single export
+    // the server offers (saturation, locks, history, attribution,
+    // traces, profile); it must honor the same trust boundary as each
+    // constituent export. A 1 us deadline makes every request a stall,
+    // so the watchdog stores a bundle and the slow-request ring fills
+    // with the flow's requests.
+    let server = run_flow_with(EnclaveConfig {
+        watch_deadline_us: 1,
+        ..EnclaveConfig::default()
+    });
+    let dump = server.enclave().watch().last_dump().expect("dump stored");
+    let report = server.introspect();
+    for (name, bundle) in [("stall dump", &dump), ("introspect()", &report)] {
+        for section in [
+            "\"saturation\"",
+            "\"stalls\"",
+            "\"locks\"",
+            "\"history\"",
+            "\"attribution\"",
+            "\"trace_tail\"",
+            "\"slow_requests\"",
+            "\"profile\"",
+        ] {
+            assert!(bundle.contains(section), "{name} missing {section}");
+        }
+        for secret in SECRETS {
+            assert!(!bundle.contains(secret), "{name} leaks {secret:?}");
+        }
+        assert!(
+            !bundle.contains('/') && !bundle.contains('@'),
+            "{name} contains a path- or email-like token"
+        );
+    }
+}
+
+#[test]
+fn health_report_carries_no_request_content() {
+    // The health section of the introspection report (verdict, scrub
+    // counters, canary, alerts, SLO burn rates) honors the same trust
+    // boundary once the scrubber has walked the sealed store.
     let server = run_flow();
     server.enclave().scrub_step();
     let report = server.introspect();
     for section in [
-        "\"saturation\"",
-        "\"stalls\"",
-        "\"locks\"",
-        "\"history\"",
-        "\"attribution\"",
         "\"health\"",
-        "\"trace_tail\"",
-        "\"slow_requests\"",
-        "\"profile\"",
         "\"state\"",
         "\"scrub\"",
         "\"canary\"",
         "\"slo\"",
+        "\"history\"",
     ] {
         assert!(report.contains(section), "report missing {section}");
     }
     for secret in SECRETS {
-        assert!(!report.contains(secret), "introspect() leaks {secret:?}");
+        assert!(!report.contains(secret), "health report leaks {secret:?}");
     }
     assert!(
         !report.contains('/') && !report.contains('@'),
-        "introspect() contains a path- or email-like token"
+        "health report contains a path- or email-like token"
     );
 }
 
